@@ -72,9 +72,10 @@
 // prec)), and cached in a sharded LRU under the same content-addressed
 // keys. Computations run on the same pooled rounding.Workspace / policy
 // machinery the Monte Carlo engine uses (race-tested for concurrent
-// sharing); policy LP caches are request-scoped, so cross-request reuse
-// is the content-addressed cache's job and finished computations retain
-// nothing. cmd/suuload is the fabbench-style open-loop
+// sharing). Estimates share LP1 roundings across requests through one
+// planner-lifetime rounding.Cache keyed by content fingerprint and
+// bounded by an LRU byte budget, so finished computations retain no
+// instance. cmd/suuload is the fabbench-style open-loop
 // load harness (Poisson or fixed-rate arrivals, per-op latency in a
 // log-scale stats.Histogram, BENCH-compatible JSON reports);
 // examples/service runs the whole loop in one process.

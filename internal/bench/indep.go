@@ -238,18 +238,18 @@ func ablRounding(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		resFlow, err := sim.MonteCarlo(ins,
-			replayOBL{"obl-flow", flow.Assignment.Serialize()}, trials, cfg.Seed, cfg.Workers)
+			replayOBL{"obl-flow", flow.Schedule}, trials, cfg.Seed, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
 		resNaive, err := sim.MonteCarlo(ins,
-			replayOBL{"obl-naive", naive.Assignment.Serialize()}, trials, cfg.Seed, cfg.Workers)
+			replayOBL{"obl-naive", naive.Schedule}, trials, cfg.Seed, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmt.Sprint(m), f1(flow.TFrac),
-			fmt.Sprint(flow.Length), fmt.Sprint(naive.Length),
+			fmt.Sprint(flow.Schedule.Length), fmt.Sprint(naive.Schedule.Length),
 			fmt.Sprintf("%.1f ±%.1f", resFlow.Summary.Mean, resFlow.Summary.CI95()),
 			fmt.Sprintf("%.1f ±%.1f", resNaive.Summary.Mean, resNaive.Summary.CI95()),
 		})

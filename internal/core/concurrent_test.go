@@ -1,15 +1,17 @@
 package core
 
-// Cross-request concurrency audit (PR 4). A planner service shares ONE
-// policy value — and through it one rounding.Cache / LP2Cache, one
+// Cross-request concurrency audit. A planner service shares ONE
+// rounding.Cache across every estimate computation for its whole life,
+// handing it to a fresh policy value per computation, and some callers
+// share one policy value — and through it one LP2Cache, one
 // WorkspacePool, and one lazily-built default subrunner — across many
-// concurrent Estimate calls, a sharing pattern the per-experiment harness
-// never produced (it ran one MonteCarlo at a time, sharing the policy
-// only among that run's workers). The audit findings these tests pin:
+// concurrent Monte Carlo runs. The audit findings these tests pin:
 //
 //   - rounding.Cache / LP2Cache: all state behind one mutex; misses
 //     compute outside the lock (duplicated work allowed, results are pure
-//     functions of keys) — safe.
+//     functions of keys); rounding.Cache keys on instance content, so
+//     equal instances decoded separately share entries, and its LRU
+//     eviction can only cost a recompute — safe.
 //   - rounding.WorkspacePool: sync.Pool of exclusively-held workspaces;
 //     SEM's Begin() and Forest's BeginLP2() reset chain state on
 //     acquisition, so no trial observes another's warm chain — safe.
@@ -18,9 +20,9 @@ package core
 //     defaults (defLong, defEngine, defInner) are built under sync.Once —
 //     safe.
 //
-// Each test runs several concurrent MonteCarlo estimates against one
-// shared policy value under -race and asserts the samples match a
-// serial reference run exactly (sharing must never change results).
+// Each test runs several concurrent MonteCarlo estimates against shared
+// state under -race and asserts the samples match a serial fresh-cache
+// reference run exactly (sharing must never change results).
 
 import (
 	"math/rand"
@@ -120,9 +122,8 @@ func TestConcurrentEstimateSharedLayered(t *testing.T) {
 }
 
 // TestConcurrentSharedCacheAcrossPolicies drives one rounding.Cache from
-// two policy values at once (the service shares caches per policy, but
-// nothing in the Cache contract forbids wider sharing) plus direct
-// concurrent RoundLP1 calls racing the same keys.
+// two policy values at once (the service hands one cache to every policy
+// it builds) plus direct concurrent RoundLP1 calls racing the same keys.
 func TestConcurrentSharedCacheAcrossPolicies(t *testing.T) {
 	ins := uniformInstance(t, 46, 4, 10)
 	cache := rounding.NewCache()
@@ -164,5 +165,57 @@ func TestConcurrentSharedCacheAcrossPolicies(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentSharedCacheAcrossInstances is the planner's sharing
+// pattern: one budget-bounded rounding.Cache handed to a fresh SEM per
+// computation, driven concurrently over distinct instances and over
+// separately generated copies of each. Every sample must equal its
+// fresh-cache serial reference while eviction churns, and the charged
+// bytes must stay within the budget.
+func TestConcurrentSharedCacheAcrossInstances(t *testing.T) {
+	const (
+		trials = 12
+		budget = 6 << 10
+	)
+	seeds := []int64{50, 51, 52}
+	refs := make([]*sim.MCResult, len(seeds))
+	for k, seed := range seeds {
+		ref, err := sim.MonteCarlo(uniformInstance(t, seed, 4, 12), &SEM{Cache: rounding.NewCache()}, trials, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[k] = ref
+	}
+	cache := rounding.NewCacheBytes(budget)
+	var wg sync.WaitGroup
+	errCh := make(chan error, 2*len(seeds))
+	for g := 0; g < 2*len(seeds); g++ {
+		k := g % len(seeds)
+		ins := uniformInstance(t, seeds[k], 4, 12) // a distinct copy per goroutine
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := sim.MonteCarlo(ins, &SEM{Cache: cache}, trials, 1, 2)
+			if err != nil {
+				errCh <- err
+				return
+			}
+			for i, ms := range res.Makespans {
+				if ms != refs[k].Makespans[i] {
+					t.Errorf("instance %d trial %d: makespan %v, fresh-cache reference %v", k, i, ms, refs[k].Makespans[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Bytes > budget || st.Hits == 0 {
+		t.Fatalf("shared cache stats %+v: want hits, charged bytes within %d", st, budget)
 	}
 }

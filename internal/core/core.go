@@ -68,7 +68,8 @@ func requireIndependent(w *sim.World, name string) error {
 // at most 1/√2 per pass, then repeat the schedule until all jobs complete.
 // Expected makespan O(E[T_OPT]·log n).
 type OBL struct {
-	// Cache, if set, memoizes the LP rounding across Monte Carlo trials.
+	// Cache, if set, memoizes the LP rounding across Monte Carlo trials,
+	// and across every other policy and computation sharing it.
 	Cache *rounding.Cache
 	// pool hands each concurrent Run a reusable LP solver workspace, so
 	// cache-miss solves reuse one tableau per worker.
@@ -99,7 +100,7 @@ func (o *OBL) RunOnSubset(w *sim.World, jobs []int) error {
 	if err != nil {
 		return err
 	}
-	_, err = w.RepeatOblivious(r.Assignment.Serialize(), maxPasses)
+	_, err = w.RepeatOblivious(r.Schedule, maxPasses)
 	return err
 }
 
@@ -110,7 +111,8 @@ func (o *OBL) RunOnSubset(w *sim.World, jobs []int) error {
 // Expected makespan O(E[T_OPT]·log log min{m,n}).
 type SEM struct {
 	// Cache, if set, memoizes LP roundings across Monte Carlo trials
-	// (round 1 is identical in every trial).
+	// (round 1 is identical in every trial), and across every other
+	// policy and computation sharing it.
 	Cache *rounding.Cache
 	// ColdLP disables the per-worker solver workspace and warm-started
 	// round re-solves, solving every round's LP1 cold on a fresh
@@ -201,7 +203,7 @@ func (s *SEM) RunOnSubset(w *sim.World, jobs []int) error {
 			return err
 		}
 		lastRound = r
-		if err := w.RunOblivious(r.Assignment.Serialize()); err != nil {
+		if err := w.RunOblivious(r.Schedule); err != nil {
 			return err
 		}
 	}
@@ -226,7 +228,7 @@ func (s *SEM) RunOnSubset(w *sim.World, jobs []int) error {
 	// m < n: repeat the round-K schedule until the stragglers finish.
 	// Every straggler is covered: it was uncompleted when round K was
 	// built, so the round-K assignment gives it mass ≥ L_K per pass.
-	_, err := w.RepeatOblivious(lastRound.Assignment.Serialize(), maxPasses)
+	_, err := w.RepeatOblivious(lastRound.Schedule, maxPasses)
 	return err
 }
 
@@ -237,7 +239,7 @@ func (s *SEM) RunOnSubset(w *sim.World, jobs []int) error {
 // two-layer case. The approximation factor multiplies SEM's by the number
 // of layers.
 type Layered struct {
-	// Inner completes each layer; defaults to SEM with a fresh cache.
+	// Inner completes each layer; defaults to SEM with its own cache.
 	Inner SubsetRunner
 
 	defOnce  sync.Once

@@ -2,6 +2,7 @@ package rounding
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/dag"
@@ -9,89 +10,165 @@ import (
 	"repro/internal/sched"
 )
 
-// DefaultCacheCap is the entry bound NewCache applies. SEM inserts every
-// random per-trial surviving-job subset it solves, so an unbounded cache
-// grows for the whole life of a long Monte Carlo run; a few hundred
-// entries capture all the reuse that actually occurs (full-set solves and
-// the small-n subset collisions) while bounding memory.
-const DefaultCacheCap = 512
+// DefaultCacheBytes is the charged-byte budget NewCache applies. A cached
+// rounding of SEM's survivor sets costs about 0.9 KB (schedule runs,
+// basis, job list, bookkeeping; see entryCharge), so 1 MiB holds the
+// round-1 full-set solves and the recurring small survivor sets of a
+// working set of instances, while bounding what a long-lived planner
+// keeps resident.
+const DefaultCacheBytes = 1 << 20
 
-// Cache memoizes RoundLP1 results. The first SUU-I-SEM round and the whole
-// of SUU-I-OBL solve LP1 on the full job set with a fixed target, which is
-// identical across Monte Carlo trials; caching it removes the dominant LP
-// cost from every trial after the first. Later (random) subset solves are
-// cached too, keyed by the warm-start chain that produced them (see
-// RoundLP1Chained), so repeated survivor patterns — common at small n —
-// are also free after first sight.
+// Cache memoizes RoundLP1 results, and is meant to be shared: one cache
+// serves every policy and Monte Carlo computation built on it for its
+// whole life. The first SUU-I-SEM round and the whole of SUU-I-OBL solve
+// LP1 on the full job set with a fixed target, which is identical across
+// trials and across requests on the same instance; caching it removes the
+// dominant LP cost from every trial after the first. Later (random)
+// subset solves are cached too, keyed by the warm-start chain that
+// produced them (see RoundLP1Chained), so repeated survivor patterns —
+// common at small n — are also free after first sight.
 //
-// The cache is bounded: full-set entries (the deterministic, expensive,
-// shared-by-every-trial solves) are pinned, everything else is evicted in
-// cheap map-order sweeps once the cap is reached. Values are pure
-// functions of their keys, so eviction can never change a result, only
-// cost a recompute. Safe for concurrent use.
+// Entries are keyed by the instance's content fingerprint, never its
+// pointer, so the cache pins no instance and two equal instances decoded
+// separately share entries. Each entry stores its job list and a lookup
+// must match it exactly, so a 64-bit job-hash collision is a miss, never
+// a wrong schedule. Eviction is LRU under a charged-byte budget; entries
+// every trial touches (the full-set solves) stay hot and survive subset
+// churn. Values are pure functions of their keys, so eviction can never
+// change a result, only cost a recompute. Safe for concurrent use.
 type Cache struct {
-	mu  sync.Mutex
-	m   map[cacheKey]cacheEntry
-	cap int
+	mu     sync.Mutex
+	m      map[cacheKey]*cacheEntry
+	lru    cacheEntry // sentinel: lru.next is the most recent entry
+	budget int64
+	bytes  int64
+
+	hits, misses, evictions uint64
 }
 
+// cacheEntry is one memoized rounding on the cache's LRU list.
 type cacheEntry struct {
-	res    *LP1Result
-	pinned bool
+	key        cacheKey
+	jobs       []int
+	res        *LP1Result
+	charge     int64
+	prev, next *cacheEntry
 }
 
-// cacheKey is a fixed-size comparable key: instance identity, target, job
-// count, and a 64-bit hash of the job ids (plus warm-chain history for
-// chained entries). Replacing the old comma-joined string key removes a
-// string build + allocation from every lookup in the trial hot path; a
-// hash collision would silently alias two subsets, but at 64 mixed bits
-// the chance is negligible against the ~thousands of entries a run sees.
+// cacheKey is a fixed-size comparable key: instance content fingerprint,
+// target, job count, and a 64-bit hash of the job ids (plus warm-chain
+// history for chained entries). The entry's stored job list resolves
+// hash collisions.
 type cacheKey struct {
-	ins *model.Instance
-	l   float64
-	n   int
-	h   uint64
+	fp sched.Fingerprint
+	l  float64
+	n  int
+	h  uint64
 }
 
-// NewCache returns an empty cache with the default entry bound.
-func NewCache() *Cache { return NewCacheCap(DefaultCacheCap) }
+// CacheStats is a point-in-time view of a Cache's effectiveness and size.
+type CacheStats struct {
+	Hits      uint64 // lookups served from an entry
+	Misses    uint64 // lookups that had to compute
+	Evictions uint64 // entries dropped to stay under the budget
+	Entries   int
+	Bytes     int64 // charged bytes of the live entries
+	Budget    int64
+}
 
-// NewCacheCap returns an empty cache bounded to roughly cap entries
-// (pinned full-set entries may exceed it; they are few and deterministic).
-// Non-positive caps fall back to DefaultCacheCap.
-func NewCacheCap(cap int) *Cache {
-	if cap <= 0 {
-		cap = DefaultCacheCap
+// NewCache returns an empty cache with the DefaultCacheBytes budget.
+func NewCache() *Cache { return NewCacheBytes(DefaultCacheBytes) }
+
+// NewCacheBytes returns an empty cache whose entries' charged bytes never
+// exceed budget. Non-positive budgets fall back to DefaultCacheBytes.
+func NewCacheBytes(budget int64) *Cache {
+	if budget <= 0 {
+		budget = DefaultCacheBytes
 	}
-	return &Cache{m: make(map[cacheKey]cacheEntry), cap: cap}
+	c := &Cache{m: make(map[cacheKey]*cacheEntry), budget: budget}
+	c.lru.next, c.lru.prev = &c.lru, &c.lru
+	return c
 }
 
-func (c *Cache) lookup(key cacheKey) (*LP1Result, bool) {
-	c.mu.Lock()
-	e, ok := c.m[key]
-	c.mu.Unlock()
-	return e.res, ok
-}
+// entryOverhead approximates the fixed cost of one entry: the map slot,
+// the entry and its LP1Result and Oblivious headers.
+const entryOverhead = 240
 
-// store inserts the entry, sweeping out unpinned entries in map order when
-// the cap is hit. Map iteration starts at a random bucket, so the sweep is
-// an O(evicted) pseudo-random eviction — cheap, and harmless to
-// correctness because every value is recomputable from its key.
-func (c *Cache) store(key cacheKey, r *LP1Result, pinned bool) {
-	c.mu.Lock()
-	if len(c.m) >= c.cap {
-		target := c.cap - c.cap/8
-		for k, e := range c.m {
-			if len(c.m) < target {
-				break
-			}
-			if !e.pinned {
-				delete(c.m, k)
-			}
+// entryCharge is the byte cost an entry is charged against the budget.
+func entryCharge(jobs []int, r *LP1Result) int64 {
+	n := entryOverhead + 8*cap(jobs) + 8*cap(r.Basis)
+	if o := r.Schedule; o != nil {
+		n += 24 * len(o.Runs)
+		for _, runs := range o.Runs {
+			n += 16 * len(runs)
 		}
+		n += 8 * len(o.Jobs())
 	}
-	c.m[key] = cacheEntry{res: r, pinned: pinned}
-	c.mu.Unlock()
+	return int64(n)
+}
+
+func (c *Cache) unlink(e *cacheEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+func (c *Cache) pushFront(e *cacheEntry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	c.lru.next.prev = e
+	c.lru.next = e
+}
+
+// lookup returns the entry for key if its job list is exactly jobs,
+// marking it most recently used.
+func (c *Cache) lookup(key cacheKey, jobs []int) (*LP1Result, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[key]
+	if !ok || !slices.Equal(e.jobs, jobs) {
+		c.misses++
+		return nil, false
+	}
+	c.hits++
+	c.unlink(e)
+	c.pushFront(e)
+	return e.res, true
+}
+
+// store inserts (key, jobs) → r as the most recent entry and evicts from
+// the cold end until the charged bytes fit the budget. If a concurrent
+// miss stored the same subproblem first, its (identical) result is kept
+// and returned. An entry larger than the whole budget is not stored.
+func (c *Cache) store(key cacheKey, jobs []int, r *LP1Result) *LP1Result {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.m[key]; ok {
+		if slices.Equal(e.jobs, jobs) {
+			c.unlink(e)
+			c.pushFront(e)
+			return e.res
+		}
+		// A hash collision: the newer subproblem takes the slot.
+		c.remove(e)
+	}
+	owned := append([]int(nil), jobs...)
+	charge := entryCharge(owned, r)
+	if charge > c.budget {
+		return r
+	}
+	for c.bytes+charge > c.budget {
+		c.remove(c.lru.prev)
+		c.evictions++
+	}
+	e := &cacheEntry{key: key, jobs: owned, res: r, charge: charge}
+	c.m[key] = e
+	c.pushFront(e)
+	c.bytes += charge
+	return r
+}
+
+func (c *Cache) remove(e *cacheEntry) {
+	c.unlink(e)
+	delete(c.m, e.key)
+	c.bytes -= e.charge
 }
 
 // RoundLP1 returns the memoized rounding for (ins, jobs, L), computing it
@@ -111,8 +188,8 @@ func (c *Cache) RoundLP1Ws(ws *Workspace, ins *model.Instance, jobs []int, L flo
 	if c == nil {
 		return ws.roundLP1(ins, jobs, L, false)
 	}
-	key := cacheKey{ins: ins, l: L, n: len(jobs), h: hashJobs(jobs)}
-	if r, ok := c.lookup(key); ok {
+	key := cacheKey{fp: ws.fingerprint(ins), l: L, n: len(jobs), h: hashJobs(jobs)}
+	if r, ok := c.lookup(key, jobs); ok {
 		return r, nil
 	}
 	// Compute outside the lock: concurrent misses may duplicate work but
@@ -121,8 +198,7 @@ func (c *Cache) RoundLP1Ws(ws *Workspace, ins *model.Instance, jobs []int, L flo
 	if err != nil {
 		return nil, err
 	}
-	c.store(key, r, len(jobs) == ins.N)
-	return r, nil
+	return c.store(key, jobs, r), nil
 }
 
 // RoundLP1Chained returns the rounding for (ins, jobs, L) solved as the
@@ -141,29 +217,36 @@ func (c *Cache) RoundLP1Chained(ws *Workspace, ins *model.Instance, jobs []int, 
 		ws.advanceChain(ins, jobs, L, r.Basis)
 		return r, nil
 	}
-	key := cacheKey{ins: ins, l: L, n: len(jobs), h: ws.chainKeyHash(jobs)}
-	if r, ok := c.lookup(key); ok {
-		ws.advanceChain(ins, jobs, L, r.Basis)
-		return r, nil
+	key := cacheKey{fp: ws.fingerprint(ins), l: L, n: len(jobs), h: ws.chainKeyHash(jobs)}
+	r, ok := c.lookup(key, jobs)
+	if !ok {
+		var err error
+		if r, err = ws.roundLP1(ins, jobs, L, true); err != nil {
+			return nil, err
+		}
+		r = c.store(key, jobs, r)
 	}
-	r, err := ws.roundLP1(ins, jobs, L, true)
-	if err != nil {
-		return nil, err
-	}
-	c.store(key, r, ws.chainHash == 0 && len(jobs) == ins.N)
 	ws.advanceChain(ins, jobs, L, r.Basis)
 	return r, nil
 }
 
-// Len reports the number of cached entries.
-func (c *Cache) Len() int {
+// Stats returns the cache's counters and size, read under one lock so
+// they are mutually consistent. A nil cache reports zeros.
+func (c *Cache) Stats() CacheStats {
+	if c == nil {
+		return CacheStats{}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.m)
+	return CacheStats{
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Evictions: c.evictions,
+		Entries:   len(c.m),
+		Bytes:     c.bytes,
+		Budget:    c.budget,
+	}
 }
-
-// Cap reports the entry bound.
-func (c *Cache) Cap() int { return c.cap }
 
 // FNV-1a constants.
 const (
@@ -298,7 +381,7 @@ func (c *LP2Cache) RoundLP2Ws(ws *Workspace, ins *model.Instance, chains []dag.C
 // A/rounding experiment.
 func RoundLP1Naive(ins *model.Instance, jobs []int, L float64) (*LP1Result, error) {
 	if len(jobs) == 0 {
-		return &LP1Result{Assignment: sched.NewAssignment(ins.M, ins.N)}, nil
+		return emptyLP1(ins), nil
 	}
 	xfrac, tstar, err := SolveLP1(ins, jobs, L)
 	if err != nil {

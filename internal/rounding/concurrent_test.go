@@ -66,8 +66,65 @@ func TestConcurrentCacheAndPool(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if cache.Len() == 0 || cache.Len() > cache.Cap() {
-		t.Fatalf("cache len %d outside (0, %d]", cache.Len(), cache.Cap())
+	if st := cache.Stats(); st.Entries == 0 || st.Bytes > st.Budget {
+		t.Fatalf("cache stats %+v: want entries, charged bytes within budget", st)
+	}
+}
+
+// TestConcurrentCacheEvictsUnderBudget shares one cache whose budget
+// holds only a few entries across goroutines that keep missing: LRU
+// eviction must run under contention without ever serving a wrong
+// rounding or exceeding the budget.
+func TestConcurrentCacheEvictsUnderBudget(t *testing.T) {
+	ins, err := workload.IndependentUniform(rand.New(rand.NewSource(11)), 4, 12, 0.1, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subsets := [][]int{{0, 1}, {2, 3, 4}, {5}, {6, 7, 8, 9}, {10, 11}, {0, 5, 10}, {1, 6, 11}, {3, 8}}
+	want := make([]float64, len(subsets))
+	for i, jobs := range subsets {
+		r, err := RoundLP1(ins, jobs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r.TFrac
+	}
+	const budget = 3 << 10
+	cache := NewCacheBytes(budget)
+	var pool WorkspacePool
+	var wg sync.WaitGroup
+	errCh := make(chan error, 6)
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				k := (g*3 + i) % len(subsets)
+				ws := pool.Get()
+				r, err := cache.RoundLP1Ws(ws, ins, subsets[k], 1)
+				pool.Put(ws)
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if r.TFrac != want[k] {
+					t.Errorf("subset %v: t* = %v, serial reference %v", subsets[k], r.TFrac, want[k])
+					return
+				}
+				if st := cache.Stats(); st.Bytes > budget {
+					t.Errorf("charged %d bytes over budget %d", st.Bytes, budget)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Evictions == 0 {
+		t.Fatalf("budget %d never forced an eviction: %+v", budget, st)
 	}
 }
 

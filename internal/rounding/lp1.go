@@ -10,8 +10,9 @@
 // Solving happens on per-goroutine Workspaces (one reusable lp.Solver
 // tableau plus problem-build arenas); SEM's shrinking-subset/doubling-
 // target round re-solves warm-start from the previous round's basis via
-// the workspace's chain (see Workspace), and Cache memoizes rounded
-// results under bounded, fixed-size keys.
+// the workspace's chain (see Workspace). Cache memoizes rounded LP1
+// results across every computation that shares it, keyed by instance
+// content and evicting by LRU under a byte budget.
 package rounding
 
 import (
@@ -29,15 +30,16 @@ const capEps = 1e-7
 
 // LP1Result is a rounded solution of LP1(jobs, L).
 type LP1Result struct {
-	// Assignment gives x̂_ij over the full instance (zero outside jobs).
-	Assignment *sched.Assignment
+	// Schedule is the rounded assignment x̂ (zero outside jobs) serialized
+	// once, when the result is rounded: machine i runs its jobs back to
+	// back in ascending job order, so Schedule.Length is the max machine
+	// load (≤ ⌈6t*⌉ + repairs). It is shared by every cache hit, so
+	// callers must not mutate it.
+	Schedule *sched.Oblivious
 	// TFrac is the optimal value t* of the LP relaxation, a lower bound
 	// on tLP1 and hence (for L=1/2, all jobs) within O(1) of E[T_OPT]
 	// by Lemma 1.
 	TFrac float64
-	// Length is the serialized schedule length, max machine load of the
-	// rounded assignment (≤ ⌈6t*⌉ + repairs).
-	Length int64
 	// Repairs counts greedy post-rounding fix-up steps (0 in practice).
 	Repairs int
 	// Basis is the LP solver's optimal basis for the relaxation (see
@@ -62,14 +64,7 @@ func SolveLP1(ins *model.Instance, jobs []int, L float64) ([][]float64, float64,
 // integral assignment giving every job in jobs log mass at least L (under
 // the capped ℓ′) with machine loads at most ⌈6t*⌉.
 func RoundLP1(ins *model.Instance, jobs []int, L float64) (*LP1Result, error) {
-	if len(jobs) == 0 {
-		return &LP1Result{Assignment: sched.NewAssignment(ins.M, ins.N)}, nil
-	}
-	xfrac, tstar, err := SolveLP1(ins, jobs, L)
-	if err != nil {
-		return nil, err
-	}
-	return RoundFractional(ins, jobs, L, xfrac, tstar)
+	return NewWorkspace().roundLP1(ins, jobs, L, false)
 }
 
 // RoundFractional applies the Lemma 2 rounding to an externally-computed
@@ -78,18 +73,25 @@ func RoundLP1(ins *model.Instance, jobs []int, L float64) (*LP1Result, error) {
 // plug into the same rounding pipeline as the exact simplex.
 func RoundFractional(ins *model.Instance, jobs []int, L float64, xfrac [][]float64, tfrac float64) (*LP1Result, error) {
 	if len(jobs) == 0 {
-		return &LP1Result{Assignment: sched.NewAssignment(ins.M, ins.N)}, nil
+		return emptyLP1(ins), nil
 	}
-	asn, repairs, err := roundByFlow(ins, jobs, L, xfrac, tfrac, nil, nil)
+	asn := sched.NewAssignment(ins.M, ins.N)
+	repairs, err := roundByFlow(ins, jobs, L, xfrac, tfrac, nil, nil, asn)
 	if err != nil {
 		return nil, err
 	}
-	return &LP1Result{
-		Assignment: asn,
-		TFrac:      tfrac,
-		Length:     asn.MaxLoad(),
-		Repairs:    repairs,
-	}, nil
+	return newLP1Result(asn, jobs, tfrac, repairs, nil), nil
+}
+
+// newLP1Result serializes a rounded assignment whose nonzero columns are
+// all in jobs. asn may be scratch: the result keeps none of its storage.
+func newLP1Result(asn *sched.Assignment, jobs []int, tfrac float64, repairs int, basis []int) *LP1Result {
+	return &LP1Result{Schedule: asn.SerializeJobs(jobs), TFrac: tfrac, Repairs: repairs, Basis: basis}
+}
+
+// emptyLP1 is the rounding of an empty job set: an all-idle schedule.
+func emptyLP1(ins *model.Instance) *LP1Result {
+	return &LP1Result{Schedule: &sched.Oblivious{M: ins.M, Runs: make([][]sched.Run, ins.M)}}
 }
 
 // RoundFractionalNaive rounds an externally-computed fractional solution by
@@ -109,7 +111,7 @@ func RoundFractionalNaive(ins *model.Instance, jobs []int, L float64, xfrac [][]
 	if err != nil {
 		return nil, err
 	}
-	return &LP1Result{Assignment: asn, TFrac: tfrac, Length: asn.MaxLoad(), Repairs: repairs}, nil
+	return newLP1Result(asn, jobs, tfrac, repairs, nil), nil
 }
 
 // repairMass greedily tops up any job whose capped mass fell below L,
@@ -144,15 +146,37 @@ func groupOf(l float64) int {
 }
 
 // roundScratch is the reusable state of roundByFlow: the group-sum window
-// and entry list, the flow network, and the edge list. Threaded through
+// and entry list, the flow network, the edge list, and the dense m×n
+// assignment LP1 roundings write into before serializing. Threaded through
 // rounding.Workspace so the Monte Carlo trial loop's rounding path stops
-// allocating (the returned Assignment is the one allocation left — results
+// allocating (the serialized schedule is the one allocation left — results
 // are cached and shared across trials, so their storage must escape).
 type roundScratch struct {
 	ent   []groupEntry
 	acc   []float64
 	graph maxflow.Graph
 	edges []flowEdge
+
+	asn   *sched.Assignment
+	dirty []int // columns of asn the previous rounding may have written
+}
+
+// assignment returns the scratch m×n assignment with every column the
+// previous rounding wrote cleared, and records jobs as the columns this
+// one will write (roundByFlow only touches its jobs' columns). The
+// matrix stays valid until the next call.
+func (s *roundScratch) assignment(m, n int, jobs []int) *sched.Assignment {
+	if s.asn == nil || s.asn.M != m || s.asn.N != n {
+		s.asn = sched.NewAssignment(m, n)
+	} else {
+		for _, row := range s.asn.X {
+			for _, j := range s.dirty {
+				row[j] = 0
+			}
+		}
+	}
+	s.dirty = append(s.dirty[:0], jobs...)
+	return s.asn
 }
 
 // groupEntry is one (job position, power-of-two group) sum, emitted in
@@ -171,10 +195,12 @@ type flowEdge struct {
 }
 
 // roundByFlow performs the shared grouping + flow rounding of Lemmas 2
-// and 6. edgeCap, if non-nil, bounds the per-(job,machine) assignment (the
-// ⌈6d*_j⌉ caps of Lemma 6); nil means uncapacitated (Lemma 2). scratch may
-// be nil (one-shot callers); hot paths pass their workspace's.
-func roundByFlow(ins *model.Instance, jobs []int, L float64, xfrac [][]float64, tstar float64, edgeCap func(pos, i int) int64, scratch *roundScratch) (*sched.Assignment, int, error) {
+// and 6, adding the integral assignment into asn, which must be zero on
+// the jobs' columns; it returns the repair count. edgeCap, if non-nil,
+// bounds the per-(job,machine) assignment (the ⌈6d*_j⌉ caps of Lemma 6);
+// nil means uncapacitated (Lemma 2). scratch may be nil (one-shot
+// callers); hot paths pass their workspace's.
+func roundByFlow(ins *model.Instance, jobs []int, L float64, xfrac [][]float64, tstar float64, edgeCap func(pos, i int) int64, scratch *roundScratch, asn *sched.Assignment) (int, error) {
 	m := ins.M
 	if scratch == nil {
 		scratch = &roundScratch{}
@@ -249,7 +275,7 @@ func roundByFlow(ins *model.Instance, jobs []int, L float64, xfrac [][]float64, 
 	}
 	for i := 0; i < m; i++ {
 		if _, err := g.AddEdge(machineNode(i), w, loadCap); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 	}
 	edges := scratch.edges[:0]
@@ -263,7 +289,7 @@ func roundByFlow(ins *model.Instance, jobs []int, L float64, xfrac [][]float64, 
 		node := next
 		next++
 		if _, err := g.AddEdge(s, node, capV); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		want += capV
 		j := jobs[key.pos]
@@ -281,7 +307,7 @@ func roundByFlow(ins *model.Instance, jobs []int, L float64, xfrac [][]float64, 
 			}
 			id, err := g.AddEdge(node, machineNode(i), c)
 			if err != nil {
-				return nil, 0, err
+				return 0, err
 			}
 			edges = append(edges, flowEdge{int32(id), int32(i), key.pos})
 		}
@@ -290,7 +316,6 @@ func roundByFlow(ins *model.Instance, jobs []int, L float64, xfrac [][]float64, 
 	got := g.MaxFlow(s, w)
 	_ = want // got may fall short only through float slop; repairs below cover it.
 
-	asn := sched.NewAssignment(m, ins.N)
 	for _, e := range edges {
 		asn.X[e.i][jobs[e.pos]] += g.Flow(int(e.id))
 	}
@@ -312,12 +337,12 @@ func roundByFlow(ins *model.Instance, jobs []int, L float64, xfrac [][]float64, 
 			continue
 		}
 		if best < 0 {
-			return nil, repairs, fmt.Errorf("rounding: job %d unroundable (no positive rate)", j)
+			return repairs, fmt.Errorf("rounding: job %d unroundable (no positive rate)", j)
 		}
 		steps := int64(math.Ceil((L - mass) / bestL))
 		asn.X[best][j] += steps
 		repairs += int(steps)
 	}
 	_ = got
-	return asn, repairs, nil
+	return repairs, nil
 }

@@ -284,7 +284,8 @@ func roundLP2(ins *model.Instance, chains []dag.Chain, ws *Workspace) (*LP2Resul
 	edgeCap := func(pos, i int) int64 {
 		return int64(math.Ceil(6*dstar[pos] - capEps))
 	}
-	asn, repairs, err := roundByFlow(ins, jobs, 1, xfrac, tstar, edgeCap, &ws.flow)
+	asn := sched.NewAssignment(ins.M, ins.N)
+	repairs, err := roundByFlow(ins, jobs, 1, xfrac, tstar, edgeCap, &ws.flow, asn)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/model"
+	"repro/internal/sched"
 )
 
 func randomInstance(rng *rand.Rand, m, n int, g *dag.DAG) *model.Instance {
@@ -66,8 +67,29 @@ func TestSolveLP1Errors(t *testing.T) {
 	}
 }
 
+// denseLP1 rebuilds the dense assignment x̂ from a result's serialized
+// schedule, checking that the schedule is well formed and that its
+// length is the max machine load.
+func denseLP1(t *testing.T, ins *model.Instance, r *LP1Result) *sched.Assignment {
+	t.Helper()
+	if err := r.Schedule.Validate(ins.N); err != nil {
+		t.Fatal(err)
+	}
+	asn := sched.NewAssignment(ins.M, ins.N)
+	for i, runs := range r.Schedule.Runs {
+		for _, run := range runs {
+			asn.X[i][run.Job] += run.Steps
+		}
+	}
+	if asn.MaxLoad() != r.Schedule.Length {
+		t.Fatalf("max load %d, schedule length %d", asn.MaxLoad(), r.Schedule.Length)
+	}
+	return asn
+}
+
 func checkLP1Post(t *testing.T, ins *model.Instance, jobs []int, L float64, r *LP1Result) {
 	t.Helper()
+	asn := denseLP1(t, ins, r)
 	inSet := make(map[int]bool)
 	for _, j := range jobs {
 		inSet[j] = true
@@ -75,7 +97,7 @@ func checkLP1Post(t *testing.T, ins *model.Instance, jobs []int, L float64, r *L
 	for _, j := range jobs {
 		mass := 0.0
 		for i := 0; i < ins.M; i++ {
-			mass += math.Min(ins.L[i][j], L) * float64(r.Assignment.X[i][j])
+			mass += math.Min(ins.L[i][j], L) * float64(asn.X[i][j])
 		}
 		if mass+1e-6 < L {
 			t.Fatalf("job %d rounded mass %g < L=%g", j, mass, L)
@@ -86,14 +108,14 @@ func checkLP1Post(t *testing.T, ins *model.Instance, jobs []int, L float64, r *L
 			continue
 		}
 		for i := 0; i < ins.M; i++ {
-			if r.Assignment.X[i][j] != 0 {
+			if asn.X[i][j] != 0 {
 				t.Fatalf("job %d outside subset has assignment", j)
 			}
 		}
 	}
 	loadBound := int64(math.Ceil(6*r.TFrac-1e-7)) + int64(r.Repairs)
 	for i := 0; i < ins.M; i++ {
-		if l := r.Assignment.Load(i); l > loadBound {
+		if l := asn.Load(i); l > loadBound {
 			t.Fatalf("machine %d load %d exceeds ⌈6t*⌉+repairs = %d (t*=%g)",
 				i, l, loadBound, r.TFrac)
 		}
@@ -138,7 +160,7 @@ func TestRoundLP1EmptySubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Length != 0 || r.TFrac != 0 {
+	if r.Schedule.Length != 0 || r.TFrac != 0 {
 		t.Fatalf("empty subset should be trivial, got %+v", r)
 	}
 }
@@ -179,15 +201,15 @@ func TestCacheHitsAndEquivalence(t *testing.T) {
 	if a != b {
 		t.Fatal("cache should return the identical result")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("cache len %d", c.Len())
+	if n := c.Stats().Entries; n != 1 {
+		t.Fatalf("cache len %d", n)
 	}
 	// Different L is a different key.
 	if _, err := c.RoundLP1(ins, []int{0, 1, 2, 3, 4}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("cache len %d", c.Len())
+	if n := c.Stats().Entries; n != 2 {
+		t.Fatalf("cache len %d", n)
 	}
 	// Nil cache passes through.
 	var nilCache *Cache
@@ -217,18 +239,19 @@ func TestNaiveRoundingLoadBlowup(t *testing.T) {
 	}
 	checkLP1Post(t, ins, jobs, 0.5, flow)
 	// Naive must still satisfy mass, but its load bound is weaker.
+	naiveAsn := denseLP1(t, ins, naive)
 	for _, j := range jobs {
 		mass := 0.0
 		for i := 0; i < m; i++ {
-			mass += math.Min(ins.L[i][j], 0.5) * float64(naive.Assignment.X[i][j])
+			mass += math.Min(ins.L[i][j], 0.5) * float64(naiveAsn.X[i][j])
 		}
 		if mass+1e-6 < 0.5 {
 			t.Fatalf("naive rounding broke mass for job %d", j)
 		}
 	}
-	if naive.Length < flow.Length {
+	if naive.Schedule.Length < flow.Schedule.Length {
 		t.Logf("note: naive length %d < flow length %d on this instance",
-			naive.Length, flow.Length)
+			naive.Schedule.Length, flow.Schedule.Length)
 	}
 }
 

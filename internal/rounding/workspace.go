@@ -38,6 +38,11 @@ type Workspace struct {
 	terms []lp.Term
 	hint  []int
 
+	// fpIns/fp memoize the content fingerprint Cache keys on, so a worker
+	// hashes its computation's instance once, not once per lookup.
+	fpIns *model.Instance
+	fp    sched.Fingerprint
+
 	// warm chain: the previous LP1 solve this workspace can extend
 	chainIns   *model.Instance
 	chainJobs  []int
@@ -69,6 +74,18 @@ func NewWorkspace() *Workspace {
 
 // Solver exposes the underlying LP solver (diagnostics: warm/cold counts).
 func (ws *Workspace) Solver() *lp.Solver { return ws.solver }
+
+// fingerprint returns ins's content fingerprint, computed once per
+// instance the workspace sees in a row. Instances are immutable once
+// built, so the pointer identifies the content while the workspace holds
+// it.
+func (ws *Workspace) fingerprint(ins *model.Instance) sched.Fingerprint {
+	if ws.fpIns != ins {
+		ws.fp = sched.FingerprintInstance(ins)
+		ws.fpIns = ins
+	}
+	return ws.fp
+}
 
 // Begin resets the warm chain. Call it before the first solve of an
 // independent re-solve sequence; solves before the next chain link is
@@ -299,26 +316,22 @@ func (ws *Workspace) chainKeyHash(jobs []int) uint64 {
 }
 
 // roundLP1 solves (warm-aware when warm is set) and applies the Lemma 2
-// rounding; the result carries the LP basis for chain advancement.
+// rounding into the workspace's scratch assignment, serializing the
+// result; the result carries the LP basis for chain advancement.
 func (ws *Workspace) roundLP1(ins *model.Instance, jobs []int, L float64, warm bool) (*LP1Result, error) {
 	if len(jobs) == 0 {
-		return &LP1Result{Assignment: sched.NewAssignment(ins.M, ins.N)}, nil
+		return emptyLP1(ins), nil
 	}
 	x, tstar, basis, err := ws.solveLP1(ins, jobs, L, warm)
 	if err != nil {
 		return nil, err
 	}
-	asn, repairs, err := roundByFlow(ins, jobs, L, x, tstar, nil, &ws.flow)
+	asn := ws.flow.assignment(ins.M, ins.N, jobs)
+	repairs, err := roundByFlow(ins, jobs, L, x, tstar, nil, &ws.flow, asn)
 	if err != nil {
 		return nil, err
 	}
-	return &LP1Result{
-		Assignment: asn,
-		TFrac:      tstar,
-		Length:     asn.MaxLoad(),
-		Repairs:    repairs,
-		Basis:      basis,
-	}, nil
+	return newLP1Result(asn, jobs, tstar, repairs, basis), nil
 }
 
 // WorkspacePool hands out Workspaces to concurrent Monte Carlo workers.

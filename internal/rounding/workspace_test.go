@@ -3,6 +3,7 @@ package rounding
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/model"
@@ -84,8 +85,8 @@ func TestWarmMatchesColdAcrossFamilies(t *testing.T) {
 	t.Logf("warm solves on %d of %d chain links", warm, total)
 }
 
-// TestChainedRoundingDeterministic: RoundLP1Chained must give byte-identical
-// assignments for identical chains, with or without a cache in between —
+// TestChainedRoundingDeterministic: RoundLP1Chained must give identical
+// schedules for identical chains, with or without a cache in between —
 // the property Monte Carlo determinism across worker counts rests on.
 func TestChainedRoundingDeterministic(t *testing.T) {
 	ins, err := workload.Generate(workload.Spec{Family: "uniform", M: 6, N: 18, Seed: 3})
@@ -118,14 +119,8 @@ func TestChainedRoundingDeterministic(t *testing.T) {
 	second := run(cache) // replays from the cache
 	for li := range chain {
 		for _, other := range [][]*LP1Result{first, second} {
-			a, b := base[li].Assignment, other[li].Assignment
-			for i := 0; i < ins.M; i++ {
-				for j := 0; j < ins.N; j++ {
-					if a.X[i][j] != b.X[i][j] {
-						t.Fatalf("link %d: assignment diverges at machine %d job %d: %d vs %d",
-							li, i, j, a.X[i][j], b.X[i][j])
-					}
-				}
+			if a, b := base[li].Schedule, other[li].Schedule; !reflect.DeepEqual(a, b) {
+				t.Fatalf("link %d: schedule diverges: %+v vs %+v", li, a, b)
 			}
 		}
 	}
@@ -133,25 +128,35 @@ func TestChainedRoundingDeterministic(t *testing.T) {
 
 // TestCacheBounded hammers the cache with random per-trial job subsets —
 // SEM's insertion pattern over a long Monte Carlo run — and asserts the
-// entry count stays bounded and the pinned full-set entry survives.
+// charged bytes never exceed the budget, eviction really runs, and the
+// LRU property: a full-set entry that every trial touches (SEM's round 1)
+// survives subset churn many times the budget.
 func TestCacheBounded(t *testing.T) {
 	ins, err := workload.Generate(workload.Spec{Family: "uniform", M: 4, N: 12, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const capEntries = 64
-	c := NewCacheCap(capEntries)
+	const budget = 16 << 10
+	c := NewCacheBytes(budget)
 	ws := NewWorkspace()
 	full := make([]int, ins.N)
 	for j := range full {
 		full[j] = j
 	}
-	if _, err := c.RoundLP1Ws(ws, ins, full, 0.5); err != nil {
+	fullRes, err := c.RoundLP1Ws(ws, ins, full, 0.5)
+	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	jobs := make([]int, 0, ins.N)
 	for trial := 0; trial < 10000; trial++ {
+		r, err := c.RoundLP1Ws(ws, ins, full, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r != fullRes {
+			t.Fatalf("trial %d: full-set entry touched by every trial was evicted", trial)
+		}
 		jobs = jobs[:0]
 		for j := 0; j < ins.N; j++ {
 			if rng.Intn(2) == 0 {
@@ -167,20 +172,87 @@ func TestCacheBounded(t *testing.T) {
 		if _, err := c.RoundLP1Ws(ws, ins, jobs, l); err != nil {
 			t.Fatal(err)
 		}
-		if got := c.Len(); got > capEntries {
-			t.Fatalf("trial %d: cache grew to %d entries, cap %d", trial, got, capEntries)
+		if st := c.Stats(); st.Bytes > budget {
+			t.Fatalf("trial %d: cache charged %d bytes, budget %d", trial, st.Bytes, budget)
 		}
 	}
-	// The pinned full-set entry must have survived every eviction sweep.
-	key := cacheKey{ins: ins, l: 0.5, n: ins.N, h: hashJobs(full)}
-	c.mu.Lock()
-	e, ok := c.m[key]
-	c.mu.Unlock()
-	if !ok || !e.pinned {
-		t.Fatalf("pinned full-set entry evicted (present=%v)", ok)
+	st := c.Stats()
+	if st.Evictions == 0 {
+		t.Fatalf("no evictions under a %d-byte budget: %+v", budget, st)
 	}
-	if c.Len() < capEntries/2 {
-		t.Fatalf("cache ended at %d entries — eviction is discarding far more than it should", c.Len())
+	if st.Bytes < budget/2 {
+		t.Fatalf("cache ended at %d bytes — eviction is discarding far more than it should", st.Bytes)
+	}
+	if st.Hits < 10000 || st.Misses == 0 {
+		t.Fatalf("hit/miss counters off: %+v", st)
+	}
+}
+
+// TestCacheCollisionIsMiss plants one subset's rounding under another
+// subset's key, as a 64-bit job-hash collision would: the lookup must
+// check the stored job list and recompute instead of serving it.
+func TestCacheCollisionIsMiss(t *testing.T) {
+	ins, err := workload.Generate(workload.Spec{Family: "uniform", M: 3, N: 8, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache()
+	ws := NewWorkspace()
+	a, b := []int{0, 1, 2}, []int{5, 6, 7}
+	ra, err := c.RoundLP1Ws(ws, ins, a, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collide := cacheKey{fp: ws.fingerprint(ins), l: 0.5, n: len(b), h: hashJobs(b)}
+	c.store(collide, a, ra)
+	rb, err := c.RoundLP1Ws(ws, ins, b, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb == ra {
+		t.Fatal("collided key served another subset's schedule")
+	}
+	for _, j := range rb.Schedule.Jobs() {
+		if j < 5 {
+			t.Fatalf("schedule for %v runs job %d", b, j)
+		}
+	}
+	// The real owner of the key replaced the planted entry.
+	if again, _ := c.RoundLP1Ws(ws, ins, b, 0.5); again != rb {
+		t.Fatal("recomputed entry was not cached")
+	}
+}
+
+// TestCacheSharesEqualInstances: entries key on content, so a second
+// decoded copy of an instance hits the first copy's entries.
+func TestCacheSharesEqualInstances(t *testing.T) {
+	spec := workload.Spec{Family: "uniform", M: 3, N: 8, Seed: 6}
+	ins1, err := workload.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins2, err := workload.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ins1 == ins2 {
+		t.Fatal("want two distinct instance values")
+	}
+	c := NewCache()
+	jobs := []int{0, 2, 4, 6}
+	r1, err := c.RoundLP1Ws(NewWorkspace(), ins1, jobs, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := c.RoundLP1Ws(NewWorkspace(), ins2, jobs, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1 != r2 {
+		t.Fatal("equal-content instances did not share the cache entry")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("stats %+v, want 1 hit, 1 miss, 1 entry", st)
 	}
 }
 
@@ -254,7 +326,7 @@ func TestCacheSharesBasisWithPlainEntries(t *testing.T) {
 	if chained != plain {
 		t.Fatal("chain's first link did not reuse the plain cache entry")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("expected 1 shared entry, cache holds %d", c.Len())
+	if n := c.Stats().Entries; n != 1 {
+		t.Fatalf("expected 1 shared entry, cache holds %d", n)
 	}
 }

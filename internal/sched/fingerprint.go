@@ -12,9 +12,9 @@ import (
 // identity for (m, n, q, prec) that survives serialization round-trips.
 // It is what makes cross-request caching content-addressed — two clients
 // POSTing byte-for-byte different JSON that decodes to the same instance
-// coalesce onto one cache entry — where the in-process LP caches key on
-// the *model.Instance pointer and so only deduplicate within one decoded
-// instance's lifetime.
+// coalesce onto one cache entry. The LP1 rounding memo (rounding.Cache)
+// keys on it too, so its entries outlive any one decoded instance and
+// never pin one.
 //
 // The hash is not cryptographic: it defends against accidental collisions
 // (2⁻¹²⁸ random, verified empirically by the distinctness tests), not

@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -79,6 +80,40 @@ func TestMassPerPass(t *testing.T) {
 	mass := a.Serialize().MassPerPass(ell)
 	if math.Abs(mass[0]-6) > 1e-12 || mass[1] != 0 {
 		t.Fatalf("mass %v", mass)
+	}
+}
+
+// TestSerializeJobsMatchesSerialize: restricting serialization to a
+// column list that covers every nonzero column must not change the
+// schedule — runs, length, and first-appearance job order — and an
+// unsorted list must fall back to the full serialization.
+func TestSerializeJobsMatchesSerialize(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		m, n := 1+rng.Intn(6), 1+rng.Intn(90)
+		a := NewAssignment(m, n)
+		var cols []int
+		for j := 0; j < n; j++ {
+			if rng.Intn(3) != 0 {
+				continue
+			}
+			cols = append(cols, j)
+			for i := 0; i < m; i++ {
+				if rng.Intn(2) == 0 {
+					a.X[i][j] = int64(1 + rng.Intn(5))
+				}
+			}
+		}
+		want := a.Serialize()
+		if got := a.SerializeJobs(cols); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: SerializeJobs(%v) = %+v, Serialize = %+v", trial, cols, got, want)
+		}
+		if len(cols) > 1 {
+			cols[0], cols[1] = cols[1], cols[0]
+			if got := a.SerializeJobs(cols); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: unsorted columns changed the schedule", trial)
+			}
+		}
 	}
 }
 

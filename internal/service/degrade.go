@@ -31,7 +31,7 @@ func (p *Planner) degradedPlan(ins *model.Instance, fp sched.Fingerprint, target
 		Target:      target,
 		Degraded:    true,
 	}
-	resp.Machines = serializeRuns(baseline.ListSchedule(ins, eff), &resp.Length)
+	resp.Machines = serializeRuns(baseline.ListSchedule(ins, eff).Serialize(), &resp.Length)
 	p.metrics.degraded.Add(1)
 	return resp
 }

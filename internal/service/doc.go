@@ -8,7 +8,11 @@
 //     on a bounded worker pool. Each computation borrows a
 //     rounding.Workspace from a shared pool, so the LP engine's
 //     zero-allocation steady state — built for Monte Carlo workers —
-//     carries over to request serving unchanged.
+//     carries over to request serving unchanged. Estimates also share one
+//     planner-lifetime rounding.Cache: SEM's round-1 LP and its recurring
+//     survivor-set re-solves are solved once per instance content, not
+//     once per request, within a 1 MiB LRU budget (lp1_cache_* in
+//     /metrics).
 //   - Admission control sits in front of the pool: at most QueueDepth
 //     requests may be queued or running; request QueueDepth+1 is rejected
 //     immediately with ErrOverloaded (HTTP 429) instead of building an

@@ -353,6 +353,18 @@ type MetricsSnapshot struct {
 	// actually decoded.
 	DecodeHits   uint64 `json:"instance_decode_hits"`
 	DecodeMisses uint64 `json:"instance_decode_misses"`
+	// The LP1 rounding memo every estimate computation shares (see
+	// Planner.lp1): lp1_cache_hits/_misses count lookups (the estimate
+	// speedup tracks their ratio), lp1_cache_evictions the entries LRU
+	// dropped to stay within lp1_cache_budget_bytes, and lp1_cache_bytes
+	// the live entries' charged size. All six come from one locked read
+	// of the cache, so they reconcile within a document.
+	LP1CacheHits      uint64 `json:"lp1_cache_hits"`
+	LP1CacheMisses    uint64 `json:"lp1_cache_misses"`
+	LP1CacheEvictions uint64 `json:"lp1_cache_evictions"`
+	LP1CacheEntries   int    `json:"lp1_cache_entries"`
+	LP1CacheBytes     int64  `json:"lp1_cache_bytes"`
+	LP1CacheBudget    int64  `json:"lp1_cache_budget_bytes"`
 
 	// Store-tier counters (all zero when no store is configured). The
 	// service-side view reconciles per document: every store lookup is

@@ -220,10 +220,12 @@ func (c Config) withDefaults() Config {
 // Planner is the concurrent scheduling service core: it admits requests
 // up to a queue bound, coalesces duplicates in flight, serves repeats
 // from a sharded LRU cache, and computes misses on a bounded worker pool
-// of pooled LP workspaces. Cross-request reuse lives entirely in the
-// response LRU and the flight group, both keyed by content fingerprint;
-// the policies' LP caches are request-scoped (see policies below), so a
-// finished computation retains nothing.
+// of pooled LP workspaces. Cross-request reuse lives in three places, all
+// keyed by content fingerprint: the response LRU and the flight group
+// share finished and in-flight responses, and one planner-lifetime
+// rounding.Cache shares LP1 roundings across every estimate computation
+// (see lp1 below). None of them holds a decoded instance, so a finished
+// computation retains no instance.
 type Planner struct {
 	cfg     Config
 	metrics *Metrics
@@ -232,12 +234,17 @@ type Planner struct {
 	tracer  *trace.Tracer
 	flight  flightGroup
 	pool    rounding.WorkspacePool
+	// lp1 memoizes LP1 roundings for the planner's whole life. Entries
+	// key on instance content, not the decoded pointer, so round 1 of
+	// SEM/OBL and the recurring small survivor-set re-solves are shared
+	// by every request on an instance; LRU eviction under a byte budget
+	// (rounding.DefaultCacheBytes) bounds what it keeps.
+	lp1 *rounding.Cache
 	// policies maps each policy name to a factory building a fresh
-	// instance with fresh LP caches. Each estimate computation gets its
-	// own: the LP caches key on the *model.Instance pointer, and only
-	// trials within one computation share that pointer — so per-request
-	// caches capture all the reuse there is, while planner-lifetime ones
-	// would only pin every decoded instance (and its LP results) forever.
+	// policy value per estimate computation, so per-computation state —
+	// workspace pools, lazily-built subrunners, LP2 caches — dies with
+	// it. The sem, obl and layered factories, and the LP1 side of chains
+	// and forest, hand every policy the shared lp1 cache.
 	policies map[string]func() sim.Policy
 
 	slots  chan struct{}
@@ -264,13 +271,21 @@ type Planner struct {
 	drainedup bool // drained already closed
 }
 
-// NewPlanner builds a planner. Policy instances are built per estimate
-// computation (see Planner.policies); cross-request reuse of finished
-// work is the fingerprint-keyed response cache's job.
+// NewPlanner builds a planner with one LP1 rounding cache, at the
+// rounding.DefaultCacheBytes budget, that every estimate computation
+// shares. Policy values are still built per computation (see
+// Planner.policies); reuse of finished responses is the
+// fingerprint-keyed response cache's job.
 func NewPlanner(cfg Config) *Planner {
+	return newPlanner(cfg, rounding.NewCache())
+}
+
+// newPlanner is NewPlanner with the shared LP1 cache supplied.
+func newPlanner(cfg Config, lp1 *rounding.Cache) *Planner {
 	cfg = cfg.withDefaults()
 	return &Planner{
 		cfg:     cfg,
+		lp1:     lp1,
 		metrics: newMetrics(),
 		cache:   newPlanCache(cfg.CacheCap, cfg.CacheShards),
 		decode:  newDecodeCache(cfg.DecodeCacheBytes),
@@ -283,22 +298,22 @@ func NewPlanner(cfg Config) *Planner {
 		slots:   make(chan struct{}, cfg.Workers),
 		drained: make(chan struct{}),
 		policies: map[string]func() sim.Policy{
-			"sem": func() sim.Policy { return &core.SEM{Cache: rounding.NewCache()} },
-			"obl": func() sim.Policy { return &core.OBL{Cache: rounding.NewCache()} },
+			"sem": func() sim.Policy { return &core.SEM{Cache: lp1} },
+			"obl": func() sim.Policy { return &core.OBL{Cache: lp1} },
 			"chains": func() sim.Policy {
 				return &core.Chains{
-					LP1Cache: rounding.NewCache(),
+					LP1Cache: lp1,
 					LP2Cache: rounding.NewLP2Cache(),
 				}
 			},
 			"forest": func() sim.Policy {
 				return &core.Forest{Engine: &core.Chains{
-					LP1Cache: rounding.NewCache(),
+					LP1Cache: lp1,
 					LP2Cache: rounding.NewLP2Cache(),
 				}}
 			},
 			"layered": func() sim.Policy {
-				return &core.Layered{Inner: &core.SEM{Cache: rounding.NewCache()}}
+				return &core.Layered{Inner: &core.SEM{Cache: lp1}}
 			},
 			"greedy":         func() sim.Policy { return baseline.Greedy{} },
 			"greedy-prec":    func() sim.Policy { return baseline.GreedyPrec{} },
@@ -333,6 +348,13 @@ func (p *Planner) obsStage(tc *trace.Ctx, s trace.Stage, start time.Time) {
 func (p *Planner) Metrics() MetricsSnapshot {
 	s := p.metrics.snapshot(p.cache)
 	s.RetryAfterS = p.retryAfter().Seconds()
+	lp1 := p.lp1.Stats()
+	s.LP1CacheHits = lp1.Hits
+	s.LP1CacheMisses = lp1.Misses
+	s.LP1CacheEvictions = lp1.Evictions
+	s.LP1CacheEntries = lp1.Entries
+	s.LP1CacheBytes = lp1.Bytes
+	s.LP1CacheBudget = lp1.Budget
 	if p.cfg.Store != nil {
 		st := p.cfg.Store.Stats()
 		s.StoreEntries = st.Entries
@@ -890,7 +912,7 @@ func (p *Planner) computePlan(ins *model.Instance, fp sched.Fingerprint, target 
 		N:           ins.N,
 		Target:      target,
 	}
-	var asn *sched.Assignment
+	var o *sched.Oblivious
 	switch class {
 	case dag.ClassIndependent:
 		jobs := make([]int, ins.N)
@@ -905,7 +927,7 @@ func (p *Planner) computePlan(ins *model.Instance, fp sched.Fingerprint, target 
 		if err != nil {
 			return nil, err
 		}
-		asn = r.Assignment
+		o = r.Schedule
 		resp.TStar = r.TFrac
 		if target == 0.5 {
 			// Lemma 1: E[T_OPT] ≥ max(t*/2, 1) at L = 1/2.
@@ -924,24 +946,23 @@ func (p *Planner) computePlan(ins *model.Instance, fp sched.Fingerprint, target 
 		if err != nil {
 			return nil, err
 		}
-		asn = r.Assignment
+		o = r.Assignment.Serialize()
 		resp.TStar = r.TFrac
 	}
 	// The LP solve and its rounding are fused inside the workspace Round
 	// call, so StageSolve covers both; StageRound is the rounded
-	// assignment's serialization into the wire shape.
+	// schedule's conversion into the wire shape.
 	p.obsStage(tc, trace.StageSolve, start)
 	rstart := time.Now()
-	resp.Machines = serializeRuns(asn, &resp.Length)
+	resp.Machines = serializeRuns(o, &resp.Length)
 	p.obsStage(tc, trace.StageRound, rstart)
 	p.observeUnitCost(itemCost(ins), time.Since(start))
 	return resp, nil
 }
 
-// serializeRuns converts an assignment into the wire run lists, recording
+// serializeRuns converts a schedule into the wire run lists, recording
 // the schedule length into *length.
-func serializeRuns(asn *sched.Assignment, length *int64) [][]PlanRun {
-	o := asn.Serialize()
+func serializeRuns(o *sched.Oblivious, length *int64) [][]PlanRun {
 	*length = o.Length
 	machines := make([][]PlanRun, len(o.Runs))
 	for i, runs := range o.Runs {
@@ -1161,9 +1182,9 @@ func (p *Planner) estimate(ctx context.Context, req *EstimateRequest, onProgress
 // chunking changes progress granularity, never the estimate. It runs on a
 // detached goroutine; each chunk boundary is a checkpoint, so an estimate
 // every caller abandoned stops there instead of burning the rest of its
-// trial budget. pol is this computation's own instance: its LP caches
-// warm up across the request's trials (which all share ins) and die with
-// the computation.
+// trial budget. pol is this computation's own policy value; its LP1
+// roundings come from the planner-lifetime cache, so trials of this and
+// every other request on the same instance content share them.
 func (p *Planner) computeEstimate(ins *model.Instance, fp sched.Fingerprint, name string, pol sim.Policy, trials int, seed int64, abandoned <-chan struct{}, emit func(Progress), tc *trace.Ctx) (*EstimateResponse, error) {
 	all := make([]float64, 0, trials)
 	for done := 0; done < trials; {

@@ -53,7 +53,7 @@ func TestPlanMatchesDirectRounding(t *testing.T) {
 	if resp.TStar != direct.TFrac {
 		t.Errorf("tstar %v vs direct %v", resp.TStar, direct.TFrac)
 	}
-	o := direct.Assignment.Serialize()
+	o := direct.Schedule
 	if resp.Length != o.Length {
 		t.Errorf("length %d vs direct %d", resp.Length, o.Length)
 	}
@@ -160,10 +160,10 @@ func freshPolicy(name string) sim.Policy {
 	return NewPlanner(Config{}).policies[name]()
 }
 
-// TestEstimatePolicyPerComputation pins the request-scoped policy
+// TestEstimatePolicyPerComputation pins the per-computation policy
 // contract: every estimate that actually computes builds a fresh policy
-// from the factory (so its LP caches die with the computation), while
-// response-cache hits build nothing.
+// from the factory (so its workspace pool and LP2 cache die with the
+// computation), while response-cache hits build nothing.
 func TestEstimatePolicyPerComputation(t *testing.T) {
 	p := smallPlanner(nil)
 	var built atomic.Int32
@@ -194,12 +194,13 @@ func TestEstimatePolicyPerComputation(t *testing.T) {
 }
 
 // TestEstimateDoesNotRetainInstance is the unbounded-growth regression:
-// with planner-lifetime policies, the LP caches (keyed by instance
-// pointer, full-set entries pinned) retained every distinct estimated
-// instance forever. After an estimate finishes, nothing in the planner
-// may keep the decoded instance reachable — the response cache and
-// flight group key by content fingerprint, and the policy (with its
-// caches and workspace pool) is request-scoped.
+// LP caches keyed by instance pointer once retained every distinct
+// estimated instance forever. After an estimate finishes, nothing in the
+// planner may keep the decoded instance reachable — the response cache,
+// the flight group and the planner-lifetime LP1 rounding cache key by
+// content fingerprint, and the policy (with its workspace pool, whose
+// workspaces remember the last instance they solved) dies with its
+// computation.
 func TestEstimateDoesNotRetainInstance(t *testing.T) {
 	p := smallPlanner(nil)
 	collected := make(chan struct{})

@@ -120,6 +120,12 @@ func promMetrics(sn MetricsSnapshot) []byte {
 	pw.counter("suu_cold_encodes_total", "Payloads that ran json.Marshal.", sn.ColdEncodes)
 	pw.counter("suu_instance_decode_hits_total", "Request instances resolved from the decode cache.", sn.DecodeHits)
 	pw.counter("suu_instance_decode_misses_total", "Request instances decoded from JSON.", sn.DecodeMisses)
+	pw.counter("suu_lp1_cache_hits_total", "LP1 rounding lookups served from the shared memo.", sn.LP1CacheHits)
+	pw.counter("suu_lp1_cache_misses_total", "LP1 rounding lookups that solved the LP.", sn.LP1CacheMisses)
+	pw.counter("suu_lp1_cache_evictions_total", "LP1 memo entries evicted to stay within budget.", sn.LP1CacheEvictions)
+	pw.gauge("suu_lp1_cache_entries", "LP1 memo resident entries.", float64(sn.LP1CacheEntries))
+	pw.gauge("suu_lp1_cache_bytes", "LP1 memo charged bytes.", float64(sn.LP1CacheBytes))
+	pw.gauge("suu_lp1_cache_budget_bytes", "LP1 memo byte budget.", float64(sn.LP1CacheBudget))
 
 	pw.counter("suu_plans_computed_total", "Plans computed by the engines (no tier served them).", sn.PlansComputed)
 	pw.counter("suu_store_mem_hits_total", "Durable store memory-tier hits.", sn.StoreMemHits)
