@@ -55,8 +55,7 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8650", "listen address")
 		workers      = flag.Int("workers", 0, "concurrent computations (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 0, "queue depth before 429s (0 = 4x workers)")
-		cacheCap     = flag.Int("cache-cap", 4096, "cached responses across shards")
-		cacheShards  = flag.Int("cache-shards", 16, "cache shard count")
+		cacheCap     = flag.Int("cache-cap", 4096, "cached responses")
 		maxTrials    = flag.Int("max-trials", 10000, "per-request Monte Carlo budget")
 		maxBatch     = flag.Int("max-batch", 256, "items per /v1/plan/batch request")
 		maxItemCost  = flag.Int("max-item-cost", 64, "per-item admission cost budget, in n·m/1024 units")
@@ -219,7 +218,6 @@ func main() {
 		Workers:           *workers,
 		QueueDepth:        *queue,
 		CacheCap:          *cacheCap,
-		CacheShards:       *cacheShards,
 		MaxTrials:         *maxTrials,
 		MaxBatchItems:     *maxBatch,
 		MaxItemCost:       *maxItemCost,
@@ -286,7 +284,7 @@ func main() {
 	}
 	trace.Info("serving",
 		"addr", *addr, "workers", cfg.Workers, "queue", cfg.QueueDepth,
-		"cache", fmt.Sprintf("%d/%d", cfg.CacheCap, cfg.CacheShards),
+		"cache", cfg.CacheCap,
 		"policy", cfg.DegradedPolicy, "brownout", cfg.BrownoutThreshold,
 		"store", storeName, "chaos", inj != nil,
 		"trace_sample", *traceSample, "trace_ring", *traceRing)

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -170,12 +171,10 @@ func (c *Client) Snapshot() Metrics {
 // next is SplitMix64 under the client's mutex.
 func (c *Client) next() uint64 {
 	c.mu.Lock()
-	c.rng += 0x9e3779b97f4a7c15
+	c.rng += rng.Golden
 	z := c.rng
 	c.mu.Unlock()
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return rng.Mix64(z)
 }
 
 // backoff is the sleep before try k (k ≥ 2): full jitter over the capped

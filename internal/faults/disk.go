@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/rng"
 )
 
 // DiskConfig sets the disk-fault plan. The zero value injects nothing.
@@ -74,11 +76,8 @@ func NewDiskInjector(cfg DiskConfig) *DiskInjector {
 }
 
 func (di *DiskInjector) next() uint64 {
-	di.state += 0x9e3779b97f4a7c15
-	z := di.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	di.state += rng.Golden
+	return rng.Mix64(di.state)
 }
 
 func (di *DiskInjector) roll(p float64) bool {

@@ -24,6 +24,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Header marks an injected failure response.
@@ -111,12 +113,10 @@ func New(cfg Config) *Injector {
 // next is SplitMix64: tiny, seedable, and plenty for Bernoulli draws.
 func (in *Injector) next() uint64 {
 	in.mu.Lock()
-	in.state += 0x9e3779b97f4a7c15
+	in.state += rng.Golden
 	z := in.state
 	in.mu.Unlock()
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return rng.Mix64(z)
 }
 
 // roll draws a Bernoulli(p).

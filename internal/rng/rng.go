@@ -40,8 +40,20 @@ func (s *SplitMix64) Seed(seed int64) { s.state = uint64(seed) }
 
 // Uint64 returns the next value of the stream. Implements rand.Source64.
 func (s *SplitMix64) Uint64() uint64 {
-	s.state += 0x9e3779b97f4a7c15 // golden-ratio increment (Weyl sequence)
-	z := s.state
+	s.state += Golden
+	return Mix64(s.state)
+}
+
+// Golden is SplitMix64's Weyl-sequence increment, 2⁶⁴/φ rounded to odd.
+// Counter-mode callers draw the i-th value of a stream as Mix64(seed +
+// i·Golden).
+const Golden = 0x9e3779b97f4a7c15
+
+// Mix64 is the SplitMix64 finalizer: a bijective 64→64 bit mixer with
+// full avalanche. It is the one copy every package hashes and draws
+// through — store keys on disk, fingerprint golden files, trace IDs and
+// recorded zipf sequences depend on its exact output.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

@@ -4,9 +4,12 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dag"
+	"repro/internal/lru"
 	"repro/internal/model"
+	"repro/internal/rng"
 	"repro/internal/sched"
 )
 
@@ -32,27 +35,20 @@ const DefaultCacheBytes = 1 << 20
 // pointer, so the cache pins no instance and two equal instances decoded
 // separately share entries. Each entry stores its job list and a lookup
 // must match it exactly, so a 64-bit job-hash collision is a miss, never
-// a wrong schedule. Eviction is LRU under a charged-byte budget; entries
-// every trial touches (the full-set solves) stay hot and survive subset
-// churn. Values are pure functions of their keys, so eviction can never
-// change a result, only cost a recompute. Safe for concurrent use.
+// a wrong schedule. Storage is a one-shard lru.Cache charged entryCharge
+// bytes per entry; entries every trial touches (the full-set solves) stay
+// hot and survive subset churn. Values are pure functions of their keys,
+// so eviction can never change a result, only cost a recompute. Safe for
+// concurrent use.
 type Cache struct {
-	mu     sync.Mutex
-	m      map[cacheKey]*cacheEntry
-	lru    cacheEntry // sentinel: lru.next is the most recent entry
-	budget int64
-	bytes  int64
-
-	hits, misses, evictions uint64
+	lru          *lru.Cache[cacheKey, cacheEntry]
+	hits, misses atomic.Uint64
 }
 
-// cacheEntry is one memoized rounding on the cache's LRU list.
+// cacheEntry is one memoized rounding and the job list it was solved for.
 type cacheEntry struct {
-	key        cacheKey
-	jobs       []int
-	res        *LP1Result
-	charge     int64
-	prev, next *cacheEntry
+	jobs []int
+	res  *LP1Result
 }
 
 // cacheKey is a fixed-size comparable key: instance content fingerprint,
@@ -85,9 +81,7 @@ func NewCacheBytes(budget int64) *Cache {
 	if budget <= 0 {
 		budget = DefaultCacheBytes
 	}
-	c := &Cache{m: make(map[cacheKey]*cacheEntry), budget: budget}
-	c.lru.next, c.lru.prev = &c.lru, &c.lru
-	return c
+	return &Cache{lru: lru.New[cacheKey, cacheEntry](1, budget, nil)}
 }
 
 // entryOverhead approximates the fixed cost of one entry: the map slot,
@@ -107,68 +101,24 @@ func entryCharge(jobs []int, r *LP1Result) int64 {
 	return int64(n)
 }
 
-func (c *Cache) unlink(e *cacheEntry) {
-	e.prev.next, e.next.prev = e.next, e.prev
-}
-
-func (c *Cache) pushFront(e *cacheEntry) {
-	e.prev, e.next = &c.lru, c.lru.next
-	c.lru.next.prev = e
-	c.lru.next = e
-}
-
 // lookup returns the entry for key if its job list is exactly jobs,
 // marking it most recently used.
 func (c *Cache) lookup(key cacheKey, jobs []int) (*LP1Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[key]
+	e, ok := c.lru.Get(key)
 	if !ok || !slices.Equal(e.jobs, jobs) {
-		c.misses++
+		c.misses.Add(1)
 		return nil, false
 	}
-	c.hits++
-	c.unlink(e)
-	c.pushFront(e)
+	c.hits.Add(1)
 	return e.res, true
 }
 
-// store inserts (key, jobs) → r as the most recent entry and evicts from
-// the cold end until the charged bytes fit the budget. If a concurrent
-// miss stored the same subproblem first, its (identical) result is kept
-// and returned. An entry larger than the whole budget is not stored.
-func (c *Cache) store(key cacheKey, jobs []int, r *LP1Result) *LP1Result {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.m[key]; ok {
-		if slices.Equal(e.jobs, jobs) {
-			c.unlink(e)
-			c.pushFront(e)
-			return e.res
-		}
-		// A hash collision: the newer subproblem takes the slot.
-		c.remove(e)
-	}
+// store caches (key, jobs) → r, taking the slot from whatever key held:
+// a concurrent miss's identical result, or the loser of a hash collision.
+// An entry larger than the whole budget is not stored.
+func (c *Cache) store(key cacheKey, jobs []int, r *LP1Result) {
 	owned := append([]int(nil), jobs...)
-	charge := entryCharge(owned, r)
-	if charge > c.budget {
-		return r
-	}
-	for c.bytes+charge > c.budget {
-		c.remove(c.lru.prev)
-		c.evictions++
-	}
-	e := &cacheEntry{key: key, jobs: owned, res: r, charge: charge}
-	c.m[key] = e
-	c.pushFront(e)
-	c.bytes += charge
-	return r
-}
-
-func (c *Cache) remove(e *cacheEntry) {
-	c.unlink(e)
-	delete(c.m, e.key)
-	c.bytes -= e.charge
+	c.lru.Put(key, cacheEntry{jobs: owned, res: r}, entryCharge(owned, r))
 }
 
 // RoundLP1 returns the memoized rounding for (ins, jobs, L), computing it
@@ -198,7 +148,8 @@ func (c *Cache) RoundLP1Ws(ws *Workspace, ins *model.Instance, jobs []int, L flo
 	if err != nil {
 		return nil, err
 	}
-	return c.store(key, jobs, r), nil
+	c.store(key, jobs, r)
+	return r, nil
 }
 
 // RoundLP1Chained returns the rounding for (ins, jobs, L) solved as the
@@ -224,27 +175,27 @@ func (c *Cache) RoundLP1Chained(ws *Workspace, ins *model.Instance, jobs []int, 
 		if r, err = ws.roundLP1(ins, jobs, L, true); err != nil {
 			return nil, err
 		}
-		r = c.store(key, jobs, r)
+		c.store(key, jobs, r)
 	}
 	ws.advanceChain(ins, jobs, L, r.Basis)
 	return r, nil
 }
 
-// Stats returns the cache's counters and size, read under one lock so
-// they are mutually consistent. A nil cache reports zeros.
+// Stats returns the cache's counters and size. The size fields are read
+// under the cache's lock, so Bytes never exceeds Budget; the hit and miss
+// counters are read separately. A nil cache reports zeros.
 func (c *Cache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.lru.Stats()
 	return CacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Entries:   len(c.m),
-		Bytes:     c.bytes,
-		Budget:    c.budget,
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: st.Evictions,
+		Entries:   st.Entries,
+		Bytes:     st.Cost,
+		Budget:    st.Budget,
 	}
 }
 
@@ -266,33 +217,28 @@ func hashJobs(jobs []int) uint64 {
 		h = (h ^ ((v >> 16) & 0xff)) * fnvPrime64
 		h = (h ^ ((v >> 24) & 0xff)) * fnvPrime64
 	}
-	return mix64(h)
-}
-
-// mix64 is the SplitMix64 finalizer, a strong 64→64 bit mixer.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return rng.Mix64(h)
 }
 
 // mix2 combines two hashes order-dependently.
 func mix2(a, b uint64) uint64 {
-	return mix64(a ^ (b + 0x9e3779b97f4a7c15))
+	return rng.Mix64(a ^ (b + rng.Golden))
 }
 
 // chainMix folds one solved chain link (its job-set hash and target) into
 // the running chain hash.
 func chainMix(chain, jobsHash uint64, l float64) uint64 {
-	return mix64(mix2(chain, jobsHash) ^ math.Float64bits(l))
+	return rng.Mix64(mix2(chain, jobsHash) ^ math.Float64bits(l))
 }
 
 // LP2Cache memoizes RoundLP2 results. SUU-C's LP2 assignment depends only
 // on the instance, its chain structure, and (under SUU-T's cross-block
 // warm chain) the sequence of blocks solved before it — never on a random
-// outcome — so one solve serves every Monte Carlo trial, and the set of
-// distinct (block, history) pairs per instance is tiny (one per SUU-T
-// decomposition block), so no bound is needed. Keys mix in the workspace's
+// outcome — so one solve serves every Monte Carlo trial. It stays an
+// unbounded map rather than an lru.Cache: it holds one entry per SUU-T
+// decomposition block, and it lives for one computation (the service
+// builds a fresh one per estimate), so there is nothing to evict and no
+// budget to enforce. Keys mix in the workspace's
 // LP2 chain history the way LP1's chained keys do, which keeps every
 // trial's rounding a deterministic function of its block sequence even
 // though warm and cold solves may land on different optimal vertices.
@@ -324,7 +270,7 @@ func hashChains(chains []dag.Chain) (uint64, int) {
 		}
 		h = (h ^ 0x1ff) * fnvPrime64 // chain separator, outside the id byte range
 	}
-	return mix64(h), n
+	return rng.Mix64(h), n
 }
 
 // NewLP2Cache returns an empty cache.

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/model"
+	"repro/internal/rng"
 )
 
 // Fingerprint is a canonical 128-bit content hash of an instance: a stable
@@ -47,15 +48,8 @@ type fpState struct {
 }
 
 func (s *fpState) word(w uint64) {
-	s.a = fpMix((s.a ^ w) * 0x9e3779b97f4a7c15)
-	s.b = fpMix((s.b + (w<<23 | w>>41)) * 0xc2b2ae3d27d4eb4f)
-}
-
-// fpMix is the SplitMix64 finalizer.
-func fpMix(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	s.a = rng.Mix64((s.a ^ w) * 0x9e3779b97f4a7c15)
+	s.b = rng.Mix64((s.b + (w<<23 | w>>41)) * 0xc2b2ae3d27d4eb4f)
 }
 
 // FingerprintInstance computes the canonical fingerprint of ins. The hash
@@ -96,7 +90,7 @@ func FingerprintInstance(ins *model.Instance) Fingerprint {
 		}
 	}
 	return Fingerprint{
-		Hi: fpMix(st.a ^ (st.b<<32 | st.b>>32)),
-		Lo: fpMix((st.b ^ st.a) + 0x9e3779b97f4a7c15),
+		Hi: rng.Mix64(st.a ^ (st.b<<32 | st.b>>32)),
+		Lo: rng.Mix64((st.b ^ st.a) + 0x9e3779b97f4a7c15),
 	}
 }

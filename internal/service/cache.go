@@ -2,9 +2,10 @@ package service
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/lru"
+	"repro/internal/rng"
 	"repro/internal/sched"
 )
 
@@ -33,79 +34,36 @@ type requestKey struct {
 // plan and estimates do not all pile onto one shard.
 func (k requestKey) hash() uint64 {
 	h := k.fp.Lo ^ (k.fp.Hi << 1)
-	h = fpMixLocal(h ^ uint64(k.kind))
-	h = fpMixLocal(h ^ math.Float64bits(k.target))
-	h = fpMixLocal(h ^ uint64(k.trials)<<32 ^ uint64(uint32(k.seed)))
+	h = rng.Mix64(h ^ uint64(k.kind))
+	h = rng.Mix64(h ^ math.Float64bits(k.target))
+	h = rng.Mix64(h ^ uint64(k.trials)<<32 ^ uint64(uint32(k.seed)))
 	for i := 0; i < len(k.policy); i++ {
 		h = (h ^ uint64(k.policy[i])) * 0x100000001b3
 	}
-	return fpMixLocal(h)
+	return rng.Mix64(h)
 }
 
-// fpMixLocal is the SplitMix64 finalizer (the service package's copy; the
-// canonical one lives next to sched.Fingerprint).
-func fpMixLocal(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// planCacheShards spreads the response cache over enough locks that
+// concurrent requests for different instances rarely contend.
+const planCacheShards = 16
 
-// planCache is a sharded, bounded LRU over finished responses. Shards are
-// independent: each holds its own lock, map, and intrusive LRU list, so
-// concurrent requests for different instances never contend. Entries are
-// exact values keyed by the full requestKey (the 64-bit shard hash only
-// picks the shard — a hash collision costs a shared shard, never a wrong
-// response). Eviction is per-shard LRU at cap/shards entries.
+// planCache is the response cache: an lru.Cache over finished responses
+// charged one unit each, so its budget is an entry count. Entries are
+// exact values keyed by the full requestKey (the 64-bit hash only picks
+// the shard — a hash collision costs a shared shard, never a wrong
+// response).
 type planCache struct {
-	shards []cacheShard
-	mask   uint64
-	hits   atomic.Uint64
+	lru  *lru.Cache[requestKey, any]
+	hits atomic.Uint64
 	// misses counts every get that found nothing — including callers that
 	// then coalesce onto another request's flight. Metrics.snapshot folds
 	// the coalesced count back in when it reports the hit rate.
 	misses atomic.Uint64
 }
 
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[requestKey]*cacheEntry
-	// intrusive LRU list: head is most recently used, tail next to evict.
-	head, tail *cacheEntry
-	cap        int
-}
-
-type cacheEntry struct {
-	key        requestKey
-	val        any
-	prev, next *cacheEntry
-}
-
-// newPlanCache builds a cache of roughly cap entries over the given number
-// of shards (rounded up to a power of two).
-func newPlanCache(cap, shards int) *planCache {
-	if cap < 1 {
-		cap = 1
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	perShard := (cap + n - 1) / n
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &planCache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
-	for i := range c.shards {
-		c.shards[i] = cacheShard{entries: make(map[requestKey]*cacheEntry), cap: perShard}
-	}
-	return c
-}
-
-func (c *planCache) shard(k requestKey) *cacheShard {
-	return &c.shards[k.hash()&c.mask]
+// newPlanCache builds a cache of at most cap entries.
+func newPlanCache(cap int) *planCache {
+	return &planCache{lru: lru.New[requestKey, any](planCacheShards, int64(cap), requestKey.hash)}
 }
 
 // get returns the cached response for k, bumping it to most-recently-used.
@@ -121,89 +79,12 @@ func (c *planCache) get(k requestKey) (any, bool) {
 
 // peek is get without touching the hit/miss counters: the flight leader's
 // late re-check (see runShared) serves a racing flight's cached result
-// without double-counting a request that already recorded its miss. The
-// value is copied out under the shard lock: put may refresh e.val in
-// place, so reading it after unlock would race.
-func (c *planCache) peek(k requestKey) (any, bool) {
-	s := c.shard(k)
-	s.mu.Lock()
-	e, ok := s.entries[k]
-	var v any
-	if ok {
-		s.moveToFront(e)
-		v = e.val
-	}
-	s.mu.Unlock()
-	return v, ok
-}
+// without double-counting a request that already recorded its miss.
+func (c *planCache) peek(k requestKey) (any, bool) { return c.lru.Get(k) }
 
-// put inserts (or refreshes) k's response, evicting the shard's least
-// recently used entry when the shard is full.
-func (c *planCache) put(k requestKey, v any) {
-	s := c.shard(k)
-	s.mu.Lock()
-	if e, ok := s.entries[k]; ok {
-		e.val = v
-		s.moveToFront(e)
-		s.mu.Unlock()
-		return
-	}
-	if len(s.entries) >= s.cap {
-		if victim := s.tail; victim != nil {
-			s.unlink(victim)
-			delete(s.entries, victim.key)
-		}
-	}
-	e := &cacheEntry{key: k, val: v}
-	s.entries[k] = e
-	s.pushFront(e)
-	s.mu.Unlock()
-}
+// put inserts (or replaces) k's response, evicting the least recently
+// used entry of k's shard when the shard is full.
+func (c *planCache) put(k requestKey, v any) { c.lru.Put(k, v, 1) }
 
 // Len returns the total number of cached entries.
-func (c *planCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// shard list ops; callers hold s.mu.
-
-func (s *cacheShard) pushFront(e *cacheEntry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *cacheShard) unlink(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *cacheShard) moveToFront(e *cacheEntry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
+func (c *planCache) Len() int { return c.lru.Stats().Entries }

@@ -16,42 +16,8 @@ func planKeyN(i int) requestKey {
 	return requestKey{fp: fpOf(i), kind: kindPlan, target: 0.5}
 }
 
-func TestPlanCacheLRU(t *testing.T) {
-	c := newPlanCache(4, 1) // one shard, cap 4: eviction order fully observable
-	for i := 0; i < 4; i++ {
-		c.put(planKeyN(i), i)
-	}
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	// Touch 0 so 1 becomes LRU, then overflow.
-	if v, ok := c.get(planKeyN(0)); !ok || v.(int) != 0 {
-		t.Fatal("lost entry 0")
-	}
-	c.put(planKeyN(4), 4)
-	if c.Len() != 4 {
-		t.Fatalf("Len after eviction = %d", c.Len())
-	}
-	if _, ok := c.get(planKeyN(1)); ok {
-		t.Fatal("entry 1 should have been the LRU victim")
-	}
-	for _, want := range []int{0, 2, 3, 4} {
-		if v, ok := c.get(planKeyN(want)); !ok || v.(int) != want {
-			t.Fatalf("entry %d missing after eviction", want)
-		}
-	}
-	// Refreshing an existing key replaces the value without growing.
-	c.put(planKeyN(4), 44)
-	if v, _ := c.get(planKeyN(4)); v.(int) != 44 {
-		t.Fatal("put did not refresh existing entry")
-	}
-	if c.Len() != 4 {
-		t.Fatalf("Len after refresh = %d", c.Len())
-	}
-}
-
 func TestPlanCacheDistinguishesParams(t *testing.T) {
-	c := newPlanCache(64, 4)
+	c := newPlanCache(64)
 	fp := fpOf(7)
 	keys := []requestKey{
 		{fp: fp, kind: kindPlan, target: 0.5},
@@ -73,7 +39,7 @@ func TestPlanCacheDistinguishesParams(t *testing.T) {
 }
 
 func TestPlanCacheHitMissCounters(t *testing.T) {
-	c := newPlanCache(8, 2)
+	c := newPlanCache(8)
 	c.put(planKeyN(1), 1)
 	c.get(planKeyN(1))
 	c.get(planKeyN(2))
@@ -82,33 +48,11 @@ func TestPlanCacheHitMissCounters(t *testing.T) {
 	}
 }
 
-// TestPlanCacheConcurrentRefresh hammers ONE key with concurrent put
-// refreshes and gets — the in-place e.val refresh path raced with get's
-// read before the value was copied out under the shard lock.
-func TestPlanCacheConcurrentRefresh(t *testing.T) {
-	c := newPlanCache(4, 1)
-	k := planKeyN(1)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 5000; i++ {
-				if g%2 == 0 {
-					c.put(k, i)
-				} else if v, ok := c.get(k); ok {
-					_ = v.(int) // a torn read would panic here under -race
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
 // TestPlanCacheConcurrent hammers a small cache from many goroutines with
-// overlapping keys; -race is the assertion, plus internal list sanity.
+// overlapping keys; -race is the assertion, plus the entry bound (the
+// recency lists themselves are checked in internal/lru).
 func TestPlanCacheConcurrent(t *testing.T) {
-	c := newPlanCache(32, 4)
+	c := newPlanCache(32)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -125,20 +69,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := c.Len(); n > 32+len(c.shards) {
+	if n := c.Len(); n > 32 {
 		t.Fatalf("cache overflowed its cap: %d entries", n)
-	}
-	// Every shard's list length must agree with its map.
-	for si := range c.shards {
-		s := &c.shards[si]
-		s.mu.Lock()
-		n := 0
-		for e := s.head; e != nil; e = e.next {
-			n++
-		}
-		if n != len(s.entries) {
-			t.Errorf("shard %d: list %d entries, map %d", si, n, len(s.entries))
-		}
-		s.mu.Unlock()
 	}
 }

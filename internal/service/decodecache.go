@@ -2,10 +2,9 @@ package service
 
 import (
 	"bytes"
-	"container/list"
 	"encoding/json"
-	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/model"
 )
 
@@ -14,11 +13,13 @@ import (
 // mirror image for requests: an instance is *decoded* once and reused
 // thereafter. The HTTP handlers capture each request's instance as raw
 // JSON (json.RawMessage — a scan and a copy, no float parsing) and
-// resolve it through a small LRU keyed by those bytes. A fleet of
+// resolve it through a one-shard lru.Cache keyed by a hash of those
+// bytes and charged their length, under decodeCacheBytes. A fleet of
 // similar workloads re-sends the same instances over and over — the
 // exact regime the response cache already exploits — and for a warm
 // n=64/m=16 batch the instance decode is ~95% of server CPU, so this
-// cache is what moves the serving throughput needle.
+// cache is what moves the serving throughput needle. An instance document
+// larger than the whole budget is decoded every time rather than cached.
 //
 // Correctness does not ride on the hash: an entry stores the raw bytes
 // it was decoded from, and a lookup must match them byte-for-byte
@@ -28,29 +29,21 @@ import (
 // reads them), so sharing one pointer across concurrent requests is
 // safe — the same contract cached responses already carry.
 
-// decodeCacheDefaultBytes bounds the raw-key bytes the cache retains
-// (decoded instances cost the same order of memory as their JSON).
-const decodeCacheDefaultBytes = 32 << 20
+// decodeCacheBytes bounds the raw-key bytes the cache retains (decoded
+// instances cost the same order of memory as their JSON).
+const decodeCacheBytes = 32 << 20
 
 type decodeCache struct {
-	mu    sync.Mutex
-	cap   int64
-	size  int64
-	ll    *list.List // front = most recently used
-	items map[uint64]*list.Element
+	lru *lru.Cache[uint64, decodeEntry]
 }
 
 type decodeEntry struct {
-	key uint64
 	raw []byte
 	ins *model.Instance
 }
 
 func newDecodeCache(capBytes int64) *decodeCache {
-	if capBytes <= 0 {
-		capBytes = decodeCacheDefaultBytes
-	}
-	return &decodeCache{cap: capBytes, ll: list.New(), items: make(map[uint64]*list.Element)}
+	return &decodeCache{lru: lru.New[uint64, decodeEntry](1, capBytes, nil)}
 }
 
 // hashRaw is FNV-1a over the raw instance bytes. Collisions are a
@@ -65,41 +58,17 @@ func hashRaw(b []byte) uint64 {
 }
 
 func (c *decodeCache) get(key uint64, raw []byte) (*model.Instance, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.items[key]
-	if !ok {
-		return nil, false
+	e, ok := c.lru.Get(key)
+	if !ok || !bytes.Equal(e.raw, raw) {
+		return nil, false // absent, or a hash collision: a miss
 	}
-	ent := e.Value.(*decodeEntry)
-	if !bytes.Equal(ent.raw, raw) {
-		return nil, false // hash collision: treat as a miss
-	}
-	c.ll.MoveToFront(e)
-	return ent.ins, true
+	return e.ins, true
 }
 
+// put caches ins under key; the newest decode takes the slot, whether it
+// raced an identical one in or collided with another document.
 func (c *decodeCache) put(key uint64, raw []byte, ins *model.Instance) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.items[key]; ok {
-		// Same key raced in twice (or a collision replaces its victim):
-		// keep the newest decode.
-		ent := e.Value.(*decodeEntry)
-		c.size += int64(len(raw)) - int64(len(ent.raw))
-		ent.raw, ent.ins = raw, ins
-		c.ll.MoveToFront(e)
-	} else {
-		c.items[key] = c.ll.PushFront(&decodeEntry{key: key, raw: raw, ins: ins})
-		c.size += int64(len(raw))
-	}
-	for c.size > c.cap && c.ll.Len() > 1 {
-		back := c.ll.Back()
-		ent := back.Value.(*decodeEntry)
-		c.ll.Remove(back)
-		delete(c.items, ent.key)
-		c.size -= int64(len(ent.raw))
-	}
+	c.lru.Put(key, decodeEntry{raw: raw, ins: ins}, int64(len(raw)))
 }
 
 // The wire request types mirror their API structs with the instance held

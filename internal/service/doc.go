@@ -11,7 +11,7 @@
 //     carries over to request serving unchanged. Estimates also share one
 //     planner-lifetime rounding.Cache: SEM's round-1 LP and its recurring
 //     survivor-set re-solves are solved once per instance content, not
-//     once per request, within a 1 MiB LRU budget (lp1_cache_* in
+//     once per request, within a 1 MiB budget (lp1_cache_* in
 //     /metrics).
 //   - Admission control sits in front of the pool: at most QueueDepth
 //     requests may be queued or running; request QueueDepth+1 is rejected
@@ -24,11 +24,12 @@
 //     and a singleflight group keyed by (fingerprint, kind, params) lets
 //     one computation serve every concurrent caller asking the same
 //     question.
-//   - Finished responses land in a sharded, bounded LRU cache under the
-//     same content-addressed keys, so repeated instances — the common case
-//     for a planner fronting a fleet of similar workloads — are served
-//     from memory. Shards each carry their own lock; the cache is exercised
-//     under -race by the package tests.
+//   - Finished responses land in a bounded response cache under the same
+//     content-addressed keys, so repeated instances — the common case for
+//     a planner fronting a fleet of similar workloads — are served from
+//     memory. It, the decoded-instance cache, the LP1 memo and the store's
+//     mem tier are all one internal/lru cache, charged per entry here and
+//     per byte in the other three.
 //   - Batches amortize the HTTP and JSON overhead: /v1/plan/batch
 //     (Planner.PlanBatch) takes a list of plan items per request and
 //     resolves each independently — cache hits immediately, duplicates
@@ -131,10 +132,11 @@
 // distributes encode cost in the encode_ns histogram.
 //
 // The request side mirrors this: the HTTP handlers capture each request's
-// instance as raw JSON and resolve it through a byte-keyed
-// decoded-instance LRU (decodecache.go) — a repeated instance is decoded
-// once, ever, with a byte-for-byte comparison guarding every hit, so the
-// cache can only change performance, never results.
+// instance as raw JSON and resolve it through a byte-keyed, 32 MiB
+// decoded-instance cache (decodecache.go) — a repeated instance is
+// decoded once while it stays resident, with a byte-for-byte comparison
+// guarding every hit, so the cache can only change performance, never
+// results.
 // instance_decode_hits / instance_decode_misses in /metrics ledger it.
 //
 // # Observability

@@ -252,11 +252,7 @@ func rotationOf(arrival uint64, seed int64, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	x := arrival/uint64(n) + uint64(seed)
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
+	x := rng.Mix64(arrival/uint64(n) + uint64(seed) + rng.Golden)
 	return int((arrival + x) % uint64(n))
 }
 

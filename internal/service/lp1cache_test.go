@@ -15,7 +15,7 @@ import (
 // sharedCachePlanner is smallPlanner with the shared LP1 cache at the
 // given budget.
 func sharedCachePlanner(budget int64) *Planner {
-	return newPlanner(Config{Workers: 2, QueueDepth: 16, CacheCap: 64, CacheShards: 2,
+	return newPlanner(Config{Workers: 2, QueueDepth: 16, CacheCap: 64,
 		MaxTrials: 500, TrialWorkers: 2, ProgressChunk: 16}, rounding.NewCacheBytes(budget))
 }
 

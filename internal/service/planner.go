@@ -95,11 +95,8 @@ type Config struct {
 	// QueueDepth bounds requests waiting for a worker slot; request
 	// QueueDepth+1 is rejected with ErrOverloaded (default 4×Workers).
 	QueueDepth int
-	// CacheCap bounds total cached responses across shards (default 4096).
+	// CacheCap bounds total cached responses (default 4096).
 	CacheCap int
-	// CacheShards is the shard count, rounded up to a power of two
-	// (default 16).
-	CacheShards int
 	// MaxTrials is the per-request Monte Carlo trial budget; estimate
 	// requests above it are rejected as bad requests (default 10000).
 	MaxTrials int
@@ -145,11 +142,6 @@ type Config struct {
 	// The planner does not own its lifecycle — whoever built the store
 	// closes it, after Planner.Close.
 	Store store.PlanStore
-	// DecodeCacheBytes bounds the raw-key bytes of the decoded-instance
-	// cache the HTTP layer resolves request instances through (default
-	// 32 MiB; see decodecache.go). The cache cannot be disabled — it is
-	// byte-verified, so it only ever changes performance, not results.
-	DecodeCacheBytes int64
 	// TraceSample is the head-based request-trace sampling probability in
 	// [0, 1]. Errors, degraded responses, and slowest-N qualifiers are
 	// always kept when tracing is enabled. The default 0 together with
@@ -177,9 +169,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheCap <= 0 {
 		c.CacheCap = 4096
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 16
 	}
 	if c.MaxTrials <= 0 {
 		c.MaxTrials = 10000
@@ -219,13 +208,15 @@ func (c Config) withDefaults() Config {
 
 // Planner is the concurrent scheduling service core: it admits requests
 // up to a queue bound, coalesces duplicates in flight, serves repeats
-// from a sharded LRU cache, and computes misses on a bounded worker pool
+// from the response cache, and computes misses on a bounded worker pool
 // of pooled LP workspaces. Cross-request reuse lives in three places, all
-// keyed by content fingerprint: the response LRU and the flight group
+// keyed by content fingerprint: the response cache and the flight group
 // share finished and in-flight responses, and one planner-lifetime
 // rounding.Cache shares LP1 roundings across every estimate computation
 // (see lp1 below). None of them holds a decoded instance, so a finished
-// computation retains no instance.
+// computation retains no instance; only the decode cache, keyed by raw
+// request bytes, does. The response, decode and LP1 caches are each an
+// lru.Cache, bounded by entry count, raw bytes and charged bytes.
 type Planner struct {
 	cfg     Config
 	metrics *Metrics
@@ -237,7 +228,7 @@ type Planner struct {
 	// lp1 memoizes LP1 roundings for the planner's whole life. Entries
 	// key on instance content, not the decoded pointer, so round 1 of
 	// SEM/OBL and the recurring small survivor-set re-solves are shared
-	// by every request on an instance; LRU eviction under a byte budget
+	// by every request on an instance; its byte budget
 	// (rounding.DefaultCacheBytes) bounds what it keeps.
 	lp1 *rounding.Cache
 	// policies maps each policy name to a factory building a fresh
@@ -287,8 +278,8 @@ func newPlanner(cfg Config, lp1 *rounding.Cache) *Planner {
 		cfg:     cfg,
 		lp1:     lp1,
 		metrics: newMetrics(),
-		cache:   newPlanCache(cfg.CacheCap, cfg.CacheShards),
-		decode:  newDecodeCache(cfg.DecodeCacheBytes),
+		cache:   newPlanCache(cfg.CacheCap),
+		decode:  newDecodeCache(decodeCacheBytes),
 		tracer: trace.NewTracer(trace.Config{
 			Sample: cfg.TraceSample,
 			Ring:   cfg.TraceRing,

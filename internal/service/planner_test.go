@@ -27,7 +27,7 @@ func testInstance(t *testing.T, family string, m, n int, seed int64) *PlanReques
 }
 
 func smallPlanner(extra func(*Config)) *Planner {
-	cfg := Config{Workers: 2, QueueDepth: 8, CacheCap: 64, CacheShards: 2,
+	cfg := Config{Workers: 2, QueueDepth: 8, CacheCap: 64,
 		MaxTrials: 500, DefaultTrials: 20, TrialWorkers: 2, ProgressChunk: 8}
 	if extra != nil {
 		extra(&cfg)
@@ -601,7 +601,6 @@ func TestPlannerConcurrentMixed(t *testing.T) {
 		c.Workers = 4
 		c.QueueDepth = 256
 		c.CacheCap = 8
-		c.CacheShards = 2
 	})
 	instances := make([]*PlanRequest, 6)
 	for i := range instances {

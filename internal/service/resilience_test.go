@@ -326,7 +326,7 @@ func TestBatchBrownoutDegraded(t *testing.T) {
 func TestShutdownUnderFire(t *testing.T) {
 	var hookCalls atomic.Uint64
 	p := NewPlanner(Config{
-		Workers: 2, QueueDepth: 64, CacheCap: 64, CacheShards: 2,
+		Workers: 2, QueueDepth: 64, CacheCap: 64,
 		ComputeHook: func() error {
 			switch n := hookCalls.Add(1); {
 			case n%5 == 0:

@@ -7,6 +7,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/rng"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -34,19 +35,19 @@ func storeKeyOf(k requestKey) store.Key {
 	for i := 0; i < len(k.policy); i++ {
 		pf = (pf ^ uint64(k.policy[i])) * 0x100000001b3
 	}
-	hi := fpMixLocal(k.fp.Hi ^ 0x9e3779b97f4a7c15)
-	hi = fpMixLocal(hi ^ k.fp.Lo)
-	hi = fpMixLocal(hi ^ uint64(k.kind))
-	hi = fpMixLocal(hi ^ math.Float64bits(k.target))
-	hi = fpMixLocal(hi ^ uint64(k.trials))
-	hi = fpMixLocal(hi ^ uint64(k.seed))
-	hi = fpMixLocal(hi ^ pf)
-	lo := fpMixLocal(k.fp.Lo ^ 0xbf58476d1ce4e5b9)
-	lo = fpMixLocal(lo ^ k.fp.Hi)
-	lo = fpMixLocal(lo ^ uint64(k.kind)<<8)
-	lo = fpMixLocal(lo ^ math.Float64bits(k.target)<<1 ^ math.Float64bits(k.target)>>63)
-	lo = fpMixLocal(lo ^ uint64(k.seed)<<16 ^ uint64(k.trials))
-	lo = fpMixLocal(lo ^ pf<<1)
+	hi := rng.Mix64(k.fp.Hi ^ 0x9e3779b97f4a7c15)
+	hi = rng.Mix64(hi ^ k.fp.Lo)
+	hi = rng.Mix64(hi ^ uint64(k.kind))
+	hi = rng.Mix64(hi ^ math.Float64bits(k.target))
+	hi = rng.Mix64(hi ^ uint64(k.trials))
+	hi = rng.Mix64(hi ^ uint64(k.seed))
+	hi = rng.Mix64(hi ^ pf)
+	lo := rng.Mix64(k.fp.Lo ^ 0xbf58476d1ce4e5b9)
+	lo = rng.Mix64(lo ^ k.fp.Hi)
+	lo = rng.Mix64(lo ^ uint64(k.kind)<<8)
+	lo = rng.Mix64(lo ^ math.Float64bits(k.target)<<1 ^ math.Float64bits(k.target)>>63)
+	lo = rng.Mix64(lo ^ uint64(k.seed)<<16 ^ uint64(k.trials))
+	lo = rng.Mix64(lo ^ pf<<1)
 	return store.Key{Hi: hi, Lo: lo}
 }
 

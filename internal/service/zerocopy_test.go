@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/scenario"
 	"repro/internal/workload"
 )
@@ -286,6 +287,23 @@ func TestDecodeCacheSharesInstances(t *testing.T) {
 	}
 	if _, err := p.decodeInstance(json.RawMessage(`{"m":0,"n":0}`)); err == nil {
 		t.Fatal("invalid instance decoded without error")
+	}
+}
+
+// TestDecodeCacheRefusesOversize: the decode cache's byte budget is a
+// bound. A document larger than the whole budget is not kept, and
+// offering it does not flush the entries that fit.
+func TestDecodeCacheRefusesOversize(t *testing.T) {
+	c := newDecodeCache(100)
+	small, big := bytes.Repeat([]byte("a"), 40), bytes.Repeat([]byte("b"), 101)
+	ins := &model.Instance{}
+	c.put(hashRaw(small), small, ins)
+	c.put(hashRaw(big), big, ins)
+	if _, ok := c.get(hashRaw(big), big); ok {
+		t.Fatal("a 101-byte document stayed resident under a 100-byte budget")
+	}
+	if _, ok := c.get(hashRaw(small), small); !ok {
+		t.Fatal("the refused document evicted an entry that fits")
 	}
 }
 

@@ -8,20 +8,22 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // tkey and tval generate deterministic, distinct test records; values vary
 // in length so record boundaries land at irregular offsets.
 func tkey(i int) Key {
-	return Key{Hi: mix(uint64(i) + 1), Lo: mix(uint64(i)*2654435761 + 99)}
+	return Key{Hi: rng.Mix64(uint64(i) + 1), Lo: rng.Mix64(uint64(i)*2654435761 + 99)}
 }
 
 func tval(i int) []byte {
 	n := 5 + (i*13)%57
 	b := make([]byte, n)
-	x := mix(uint64(i) ^ 0xabcdef)
+	x := rng.Mix64(uint64(i) ^ 0xabcdef)
 	for j := range b {
-		x = mix(x)
+		x = rng.Mix64(x)
 		b[j] = byte(x)
 	}
 	return b

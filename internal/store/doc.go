@@ -1,9 +1,10 @@
 // Package store is the durable, replicated plan store under the suud
 // fleet: content-addressed storage for finished plan and estimate
-// payloads, with a mem tier (sharded byte-LRU), a disk tier (append-only
-// checksummed segment log), and a replicated tier (consistent hashing
-// over a static replica set), composable via Tiered. The service layers
-// it under its typed response LRU as read-through/write-behind tiers.
+// payloads, with a mem tier (an internal/lru cache charged payload bytes),
+// a disk tier (append-only checksummed segment log), and a replicated
+// tier (consistent hashing over a static replica set), composable via
+// Tiered. The service layers it under its response cache as
+// read-through/write-behind tiers.
 //
 // # Consistency model
 //

@@ -1,34 +1,19 @@
 package store
 
 import (
-	"container/list"
 	"context"
-	"sync"
 	"sync/atomic"
+
+	"repro/internal/lru"
 )
 
-// Mem is the in-memory backend: a byte-budgeted sharded LRU, the
-// service's response-cache design (power-of-two shards picked by mixed
-// key bits, intrusive recency list per shard) re-based on opaque []byte
-// values so it can sit in a tier stack.
+// Mem is the in-memory backend: an lru.Cache of opaque payloads charged
+// their length in bytes, so it can sit in a tier stack. A payload larger
+// than its shard's share of the budget is not kept.
 type Mem struct {
-	shards []memShard
-	mask   uint64
+	c *lru.Cache[Key, []byte]
 
 	hits, misses, puts, putSkips atomic.Uint64
-}
-
-type memShard struct {
-	mu       sync.Mutex
-	entries  map[Key]*list.Element
-	order    *list.List // front = most recent
-	bytes    int64
-	maxBytes int64
-}
-
-type memEntry struct {
-	key Key
-	val []byte
 }
 
 // NewMem builds a mem store with maxBytes of payload budget spread over
@@ -37,28 +22,7 @@ func NewMem(maxBytes int64, shards int) *Mem {
 	if shards <= 0 {
 		shards = 16
 	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	if maxBytes < 1 {
-		maxBytes = 1
-	}
-	m := &Mem{shards: make([]memShard, n), mask: uint64(n - 1)}
-	per := maxBytes / int64(n)
-	if per < 1 {
-		per = 1
-	}
-	for i := range m.shards {
-		m.shards[i].entries = make(map[Key]*list.Element)
-		m.shards[i].order = list.New()
-		m.shards[i].maxBytes = per
-	}
-	return m
-}
-
-func (m *Mem) shardOf(k Key) *memShard {
-	return &m.shards[mix(k.Hi^mix(k.Lo))&m.mask]
+	return &Mem{c: lru.New[Key, []byte](shards, maxBytes, Key.hash)}
 }
 
 // Name implements PlanStore.
@@ -67,17 +31,11 @@ func (m *Mem) Name() string { return "mem" }
 // Get implements PlanStore. The returned slice is the interned value;
 // callers must not mutate it.
 func (m *Mem) Get(_ context.Context, k Key) ([]byte, string, error) {
-	s := m.shardOf(k)
-	s.mu.Lock()
-	el, ok := s.entries[k]
+	v, ok := m.c.Get(k)
 	if !ok {
-		s.mu.Unlock()
 		m.misses.Add(1)
 		return nil, "", ErrNotFound
 	}
-	s.order.MoveToFront(el)
-	v := el.Value.(*memEntry).val
-	s.mu.Unlock()
 	m.hits.Add(1)
 	return v, TierMem, nil
 }
@@ -87,29 +45,16 @@ func (m *Mem) GetLocal(ctx context.Context, k Key) ([]byte, string, error) {
 	return m.Get(ctx, k)
 }
 
-// Put implements PlanStore: insert-if-absent with LRU eviction to budget.
+// Put implements PlanStore. A value is a pure function of its key, so a
+// re-put stores the same bytes again; it counts as a put-skip.
 func (m *Mem) Put(_ context.Context, k Key, v []byte) error {
-	s := m.shardOf(k)
-	s.mu.Lock()
-	if el, ok := s.entries[k]; ok {
-		s.order.MoveToFront(el)
-		s.mu.Unlock()
-		m.putSkips.Add(1)
-		return nil
-	}
 	cp := make([]byte, len(v))
 	copy(cp, v)
-	s.entries[k] = s.order.PushFront(&memEntry{key: k, val: cp})
-	s.bytes += int64(len(cp))
-	for s.bytes > s.maxBytes && s.order.Len() > 1 {
-		back := s.order.Back()
-		e := back.Value.(*memEntry)
-		s.order.Remove(back)
-		delete(s.entries, e.key)
-		s.bytes -= int64(len(e.val))
+	if m.c.Put(k, cp, int64(len(cp))) {
+		m.putSkips.Add(1)
+	} else {
+		m.puts.Add(1)
 	}
-	s.mu.Unlock()
-	m.puts.Add(1)
 	return nil
 }
 
@@ -119,39 +64,19 @@ func (m *Mem) PutLocal(ctx context.Context, k Key, v []byte) error {
 }
 
 // Keys implements PlanStore.
-func (m *Mem) Keys(limit int) []Key {
-	var out []Key
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for k := range s.entries {
-			out = append(out, k)
-			if limit > 0 && len(out) >= limit {
-				s.mu.Unlock()
-				return out
-			}
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
+func (m *Mem) Keys(limit int) []Key { return m.c.Keys(limit) }
 
 // Stats implements PlanStore.
 func (m *Mem) Stats() Stats {
-	st := Stats{
-		Hits:     m.hits.Load(),
-		Misses:   m.misses.Load(),
-		Puts:     m.puts.Load(),
-		PutSkips: m.putSkips.Load(),
+	lst := m.c.Stats()
+	return Stats{
+		Hits:      m.hits.Load(),
+		Misses:    m.misses.Load(),
+		Puts:      m.puts.Load(),
+		PutSkips:  m.putSkips.Load(),
+		Entries:   lst.Entries,
+		BytesLive: lst.Cost,
 	}
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		st.Entries += len(s.entries)
-		st.BytesLive += s.bytes
-		s.mu.Unlock()
-	}
-	return st
 }
 
 // WaitWarm implements PlanStore; mem has nothing to recover.

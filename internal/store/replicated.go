@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -164,7 +165,7 @@ func (r *Replicated) Name() string { return "replicated" }
 
 // owners returns the key's replica owners in ring order.
 func (r *Replicated) owners(k Key) []string {
-	return r.ring.ownersOf(mix(k.Hi^mix(k.Lo)), r.cfg.Replication)
+	return r.ring.ownersOf(k.hash(), r.cfg.Replication)
 }
 
 // Get implements PlanStore: local first, then each remote owner in ring
@@ -423,7 +424,7 @@ func (h *hashRing) add(peer string) {
 	f.Write([]byte(peer))
 	base := f.Sum64()
 	for i := 0; i < ringVnodes; i++ {
-		h.points = append(h.points, ringPoint{hash: mix(base + uint64(i)*0x9e3779b97f4a7c15), peer: peer})
+		h.points = append(h.points, ringPoint{hash: rng.Mix64(base + uint64(i)*rng.Golden), peer: peer})
 	}
 	sort.Slice(h.points, func(a, b int) bool { return h.points[a].hash < h.points[b].hash })
 }

@@ -23,7 +23,7 @@ func TestRingOwnershipProperties(t *testing.T) {
 	const keys = 2000
 	for i := 0; i < keys; i++ {
 		k := tkey(i)
-		h := mix(k.Hi ^ mix(k.Lo))
+		h := k.hash()
 		o1 := r1.ownersOf(h, 2)
 		o2 := r2.ownersOf(h, 2)
 		if len(o1) != 2 || len(o2) != 2 {

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+
+	"repro/internal/rng"
 )
 
 // Key is a 128-bit content address. The service derives it from the full
@@ -19,6 +21,10 @@ import (
 type Key struct {
 	Hi, Lo uint64
 }
+
+// hash folds both halves of k into 64 mixed bits: the key's mem-tier
+// shard and its position on the replica ring.
+func (k Key) hash() uint64 { return rng.Mix64(k.Hi ^ rng.Mix64(k.Lo)) }
 
 // IsZero reports the zero key ("not computed"); real keys never are.
 func (k Key) IsZero() bool { return k.Hi == 0 && k.Lo == 0 }
@@ -280,11 +286,4 @@ func PeerView(ps PlanStore) PlanStore {
 		return l.Local()
 	}
 	return ps
-}
-
-// mix is the SplitMix64 finalizer, the package's shared avalanche.
-func mix(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

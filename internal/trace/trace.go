@@ -33,6 +33,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Stage identifies one instrumented segment of a request's journey.
@@ -163,15 +165,10 @@ func ParseID(s string) (ID, bool) {
 	return ID{Hi: hi, Lo: lo}, true
 }
 
-// splitmix64 is the same mixer the store and fault layers use; applied
-// to a counter it yields uniform, unique-per-process trace IDs without
-// touching a CSPRNG on the hot path.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+// splitmix64 is one SplitMix64 step from state x; applied to a counter it
+// yields uniform, unique-per-process trace IDs without touching a CSPRNG
+// on the hot path.
+func splitmix64(x uint64) uint64 { return rng.Mix64(x + rng.Golden) }
 
 // Ctx is one request's trace: an ID plus per-stage aggregated timings.
 // All methods are safe on a nil receiver (no-ops), and concurrent use

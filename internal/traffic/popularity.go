@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+
+	"repro/internal/rng"
 )
 
 // Popularity draws which catalog entry each arrival requests. Next is
@@ -91,10 +93,7 @@ func (z *Zipfian) Next() int {
 	// Counter-mode SplitMix64: each draw mixes seed + i·φ, so concurrent
 	// callers never contend and a single-threaded dispatcher replays the
 	// identical sequence for a seed.
-	x := z.seed + z.ctr.Add(1)*0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
+	x := rng.Mix64(z.seed + z.ctr.Add(1)*rng.Golden)
 	u := float64(x>>11) / (1 << 53)
 	return sort.SearchFloat64s(z.cum, u)
 }
