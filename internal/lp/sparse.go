@@ -5,16 +5,22 @@ package lp
 // solve in compressed column form; the basis lives in an LU factorization
 // with a product-form eta file (lu.go); entering columns are priced with a
 // candidate-list rule (pricing.go). Per pivot the engine runs one BTRAN
-// (duals), a handful of sparse dot products (pricing), one FTRAN (entering
-// column), and an O(rows) basic-solution update — independent of the column
-// count, where the dense tableau pays O(rows·cols). Phase structure,
-// tolerances, warm-start semantics, and the Basis encoding match the dense
-// engine exactly; differential tests (sparse_test.go) hold the two to the
-// same optimal values on every workload family.
+// (duals), a handful of sparse dot products (pricing) and one FTRAN
+// (entering column); the ratio test, the basic-solution update and the eta
+// append then walk the FTRAN result's nonzero pattern, and the basic costs
+// and the stall check's objective are kept per pivot over the positions
+// with nonzero cost, so on LP2's near-identity bases a pivot costs about
+// what the entering column's reach costs rather than O(rows) — and always
+// independent of the column count, where the dense tableau pays
+// O(rows·cols). Phase structure, tolerances, warm-start semantics, and the
+// Basis encoding match the dense engine exactly; differential tests
+// (sparse_test.go) hold the two to the same optimal values on every
+// workload family.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // spState is the sparse engine's workspace, embedded in Solver. All slices
@@ -42,6 +48,7 @@ type spState struct {
 	inBasis   []bool    // per column
 	xB        []float64 // basic solution B⁻¹b, position space
 	cB        []float64 // basic costs, position space
+	costPos   []int32   // positions with cB != 0, ascending
 	y         []float64 // duals cᵦB⁻¹, row space
 	rho       []float64 // BTRAN'd unit row for dual pivots, row space
 	w         []float64 // FTRAN'd entering column, position space
@@ -110,6 +117,8 @@ func (s *Solver) setupSparse(p *Problem) error {
 	sp.y = growFloats(sp.y, m)
 	sp.rho = growFloats(sp.rho, m)
 	sp.w = growFloats(sp.w, m)
+	sp.costPos = growInt32s(sp.costPos, m)[:0]
+	sp.lu.clearResult(m)
 	sp.ev = growFloats(sp.ev, m)
 	for j := 0; j < n; j++ {
 		sp.auxOf[j] = -1
@@ -353,12 +362,10 @@ func (s *Solver) iterateSparse() error {
 	mode := priceDantzig
 	stall := 0
 	lastObj := math.Inf(1)
+	s.loadBasicCosts()
 	for iter := 0; iter < maxIter; iter++ {
 		if err := s.ensureFreshSparse(); err != nil {
 			return err
-		}
-		for i := 0; i < sp.rows; i++ {
-			sp.cB[i] = sp.cost[sp.basisCols[i]]
 		}
 		sp.lu.btran(sp.cB, sp.y)
 		q := s.priceSparse(mode)
@@ -379,9 +386,10 @@ func (s *Solver) iterateSparse() error {
 			continue
 		}
 		s.pivotSparse(q, r, sp.w)
+		// Σ cB·xB over all positions, minus terms that are exact zeros.
 		obj := 0.0
-		for i := 0; i < sp.rows; i++ {
-			obj += sp.cost[sp.basisCols[i]] * sp.xB[i]
+		for _, i := range sp.costPos {
+			obj += sp.cB[i] * sp.xB[i]
 		}
 		switch {
 		case obj < lastObj-1e-12*(1+math.Abs(lastObj)):
@@ -401,15 +409,31 @@ func (s *Solver) iterateSparse() error {
 	return ErrIterationLimit
 }
 
+// loadBasicCosts fills cB and costPos from the current phase's costs;
+// pivotSparse keeps both current from then on.
+func (s *Solver) loadBasicCosts() {
+	sp := &s.sp
+	sp.costPos = sp.costPos[:0]
+	for i := 0; i < sp.rows; i++ {
+		c := sp.cost[sp.basisCols[i]]
+		sp.cB[i] = c
+		if c != 0 {
+			sp.costPos = append(sp.costPos, int32(i))
+		}
+	}
+}
+
 // ratioTestSparse picks the leaving basis position for the FTRAN'd entering
-// column in s.sp.w. Ratio ties (within eps) prefer the numerically larger
+// column in s.sp.w, scanning its pattern (positions outside it are zero and
+// never qualify). Ratio ties (within eps) prefer the numerically larger
 // pivot, then the smaller basic column id (the dense engine's anti-cycling
 // tie-break). Returns -1 if the column is unbounded.
 func (s *Solver) ratioTestSparse() int {
 	sp := &s.sp
 	best := -1
 	bestRatio := math.Inf(1)
-	for i := 0; i < sp.rows; i++ {
+	for _, i32 := range sp.lu.res {
+		i := int(i32)
 		wi := sp.w[i]
 		if wi <= eps {
 			continue
@@ -430,11 +454,13 @@ func (s *Solver) ratioTestSparse() int {
 }
 
 // pivotSparse replaces the basic column at position r with column q, whose
-// FTRAN image is w, updating the basic solution and appending an eta.
+// FTRAN image is w (the last ftranCol result), updating the basic solution
+// over w's pattern, the basic costs, and the eta file.
 func (s *Solver) pivotSparse(q, r int, w []float64) {
 	sp := &s.sp
 	t := sp.xB[r] / w[r]
-	for i := 0; i < sp.rows; i++ {
+	for _, i32 := range sp.lu.res {
+		i := int(i32)
 		if i == r {
 			continue
 		}
@@ -451,6 +477,15 @@ func (s *Solver) pivotSparse(q, r int, w []float64) {
 	}
 	sp.xB[r] = t
 	sp.lu.appendEta(r, w)
+	if c := sp.cost[q]; (c != 0) != (sp.cB[r] != 0) {
+		i, _ := slices.BinarySearch(sp.costPos, int32(r))
+		if c != 0 {
+			sp.costPos = slices.Insert(sp.costPos, i, int32(r))
+		} else {
+			sp.costPos = slices.Delete(sp.costPos, i, i+1)
+		}
+	}
+	sp.cB[r] = sp.cost[q]
 	sp.inBasis[sp.basisCols[r]] = false
 	sp.inBasis[q] = true
 	sp.basisCols[r] = q
@@ -617,9 +652,7 @@ func (s *Solver) dualRepairSparse() bool {
 	sp.dred = d
 	alpha := growFloats(sp.alpha, sp.cols)
 	sp.alpha = alpha
-	for i := 0; i < sp.rows; i++ {
-		sp.cB[i] = sp.cost[sp.basisCols[i]]
-	}
+	s.loadBasicCosts()
 	sp.lu.btran(sp.cB, sp.y)
 	for j := 0; j < sp.cols; j++ {
 		if sp.banned[j] || sp.inBasis[j] {

@@ -128,3 +128,28 @@ func BenchmarkLP1Solve(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLP2Solve pins the chain plan's LP: one cold (LP2) solve at
+// m=16, n=64 on the chains family, the shape every fresh chain instance of
+// a plan batch solves. About 1120 rows, 1024 of them two-entry x ≤ d cap
+// rows, so the basis stays close to the identity and the LU kernels'
+// per-pivot cost should track its nonzeros, not its row count. CI holds
+// its ns/op against the committed baseline (.github/bench-baseline.txt).
+func BenchmarkLP2Solve(b *testing.B) {
+	ins, err := workload.Generate(workload.Spec{Family: "chains", M: 16, N: 64, Seed: 9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	chains, err := ins.Chains()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ws := NewWorkspace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, _, err := ws.solveLP2(ins, chains); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
