@@ -383,19 +383,50 @@ const (
 	priceBland          // first negative column (cannot cycle)
 )
 
+// stallGuard is the pricing escalation both engines run. Dantzig pricing
+// runs while the objective improves. Degenerate stalls — endemic to the
+// rank-1 "skill" instances, whose ratio tests tie massively — switch to
+// randomized pricing after rows/2+40 pivots without strict improvement,
+// which escapes degenerate vertices in a handful of pivots with high
+// probability; if even that stalls, Bland's rule takes over after
+// 4·rows+1000 and is the guaranteed backstop. Any strict improvement
+// resets to Dantzig, so no basis can repeat across resets.
+type stallGuard struct {
+	rows    int
+	stall   int
+	lastObj float64 // +Inf until the first pivot
+}
+
+func newStallGuard(rows int) stallGuard {
+	return stallGuard{rows: rows, lastObj: math.Inf(1)}
+}
+
+// next records the objective after a pivot and returns the pricing rule
+// for the next one. The first pivot's objective is the reference: against
+// +Inf the improvement test would compare with Inf−Inf = NaN and never
+// register progress.
+func (g *stallGuard) next(obj float64) int {
+	if math.IsInf(g.lastObj, 1) || obj < g.lastObj-1e-12*(1+math.Abs(g.lastObj)) {
+		g.lastObj = obj
+		g.stall = 0
+		return priceDantzig
+	}
+	g.stall++
+	switch {
+	case g.stall > 4*g.rows+1000:
+		return priceBland
+	case g.stall > g.rows/2+40:
+		return priceRandom
+	}
+	return priceDantzig
+}
+
 // iterate runs primal simplex pivots until optimality, unboundedness, or
-// the iteration budget is exhausted. Dantzig pricing runs while the
-// objective improves. Degenerate stalls — endemic to the rank-1 "skill"
-// instances, whose ratio tests tie massively — switch to randomized
-// pricing, which escapes degenerate vertices in a handful of pivots with
-// high probability; if even that stalls, Bland's rule is the guaranteed
-// backstop. Any strict improvement resets to Dantzig, so no basis can
-// repeat across resets.
+// the iteration budget is exhausted, pricing by the stallGuard's rule.
 func (s *Solver) iterate() error {
 	maxIter := 5000 + 60*(s.rows+s.cols)
 	mode := priceDantzig
-	stall := 0
-	lastObj := math.Inf(1)
+	guard := newStallGuard(s.rows)
 	for iter := 0; iter < maxIter; iter++ {
 		col := s.chooseColumn(mode)
 		if col < 0 {
@@ -406,21 +437,7 @@ func (s *Solver) iterate() error {
 			return errUnbounded
 		}
 		s.pivot(row, col)
-		obj := -s.costRHS
-		switch {
-		case obj < lastObj-1e-12*(1+math.Abs(lastObj)):
-			lastObj = obj
-			stall = 0
-			mode = priceDantzig
-		default:
-			stall++
-			switch {
-			case stall > 4*s.rows+1000:
-				mode = priceBland
-			case stall > s.rows/2+40:
-				mode = priceRandom
-			}
-		}
+		mode = guard.next(-s.costRHS)
 	}
 	return ErrIterationLimit
 }

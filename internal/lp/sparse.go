@@ -355,13 +355,13 @@ func (s *Solver) phase2CostSparse(p *Problem) {
 
 // iterateSparse runs primal revised-simplex pivots until optimality,
 // unboundedness, or the iteration budget is exhausted, with the same
-// Dantzig → randomized → Bland stall escalation as the dense engine.
+// Dantzig → randomized → Bland stall escalation (stallGuard) as the dense
+// engine.
 func (s *Solver) iterateSparse() error {
 	sp := &s.sp
 	maxIter := 5000 + 60*(sp.rows+sp.cols)
 	mode := priceDantzig
-	stall := 0
-	lastObj := math.Inf(1)
+	guard := newStallGuard(sp.rows)
 	s.loadBasicCosts()
 	for iter := 0; iter < maxIter; iter++ {
 		if err := s.ensureFreshSparse(); err != nil {
@@ -391,20 +391,7 @@ func (s *Solver) iterateSparse() error {
 		for _, i := range sp.costPos {
 			obj += sp.cB[i] * sp.xB[i]
 		}
-		switch {
-		case obj < lastObj-1e-12*(1+math.Abs(lastObj)):
-			lastObj = obj
-			stall = 0
-			mode = priceDantzig
-		default:
-			stall++
-			switch {
-			case stall > 4*sp.rows+1000:
-				mode = priceBland
-			case stall > sp.rows/2+40:
-				mode = priceRandom
-			}
-		}
+		mode = guard.next(obj)
 	}
 	return ErrIterationLimit
 }
