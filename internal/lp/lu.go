@@ -103,14 +103,18 @@ type luFactors struct {
 	// L pass walks only these.
 	lSteps []int32
 
-	// scratch
-	work  []float64 // dense accumulator, row space
-	pat   []int32   // pattern of the column being eliminated
-	stamp []int32   // epoch stamps validating work entries
-	epoch int32
-	heap  []int32   // binary min-heap of elimination steps (reach order)
-	sweep []float64 // FTRAN/BTRAN dense working vector
-	stepv []float64 // step-space working vector for BTRAN
+	// scratch; begin carves the m-long vectors out of fscratch, iscratch
+	// and bscratch
+	fscratch []float64
+	iscratch []int32
+	bscratch []bool
+	work     []float64 // dense accumulator, row space
+	pat      []int32   // pattern of the column being eliminated
+	stamp    []int32   // epoch stamps validating work entries
+	epoch    int32
+	heap     []int32   // binary min-heap of elimination steps (reach order)
+	sweep    []float64 // FTRAN/BTRAN dense working vector
+	stepv    []float64 // step-space working vector for BTRAN
 
 	// Hypersparse FTRAN scratch. hw is all-zero between calls; rowPat and
 	// rowMark record the rows a call touched so it can clean up after
@@ -172,19 +176,20 @@ func (lu *luFactors) begin(m int) {
 	lu.uVal = lu.uVal[:0]
 	lu.uDiag = lu.uDiag[:0]
 	lu.resetEtas()
-	lu.work = growFloats(lu.work, m)
-	lu.sweep = growFloats(lu.sweep, m)
-	lu.stepv = growFloats(lu.stepv, m)
-	lu.stamp = growInt32s(lu.stamp, m)
+	// The m-long scratch vectors share one zeroed backing array per
+	// element type, so a fresh solver pays three allocations for them.
+	// The pattern lists hold distinct steps or rows, so capacity m means
+	// they never outgrow their section.
+	f := growFloats(lu.fscratch, 4*m)
+	lu.fscratch = f
+	lu.work, lu.sweep, lu.stepv, lu.hw = f[:m:m], f[m:2*m:2*m], f[2*m:3*m:3*m], f[3*m:]
+	i := growInt32s(lu.iscratch, 4*m)
+	lu.iscratch = i
+	lu.stamp, lu.heap, lu.rowPat, lu.lSteps = i[:m:m], i[m:m:2*m], i[2*m:2*m:3*m], i[3*m:3*m]
 	lu.epoch = 0
-	lu.hw = growFloats(lu.hw, m)
-	lu.rowMark = growBools(lu.rowMark, m)
-	lu.resMark = growBools(lu.resMark, m)
-	// Each of these holds distinct steps or rows, so capacity m means
-	// they never grow mid-factorization or mid-solve.
-	lu.heap = growInt32s(lu.heap, m)[:0]
-	lu.rowPat = growInt32s(lu.rowPat, m)[:0]
-	lu.lSteps = growInt32s(lu.lSteps, m)[:0]
+	b := growBools(lu.bscratch, 2*m)
+	lu.bscratch = b
+	lu.rowMark, lu.resMark = b[:m:m], b[m:]
 }
 
 // clearResult forgets the last ftran result's pattern and restarts the
