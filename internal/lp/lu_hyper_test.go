@@ -82,8 +82,8 @@ func (lu *luFactors) btranRef(c, out []float64) {
 	}
 }
 
-// randomSparseCol draws a column with 1–maxNz entries in distinct random
-// rows (duplicates are allowed on purpose: addColumn and ftran sum them).
+// randomSparseCol draws a column with 1–maxNz entries in random rows. A
+// row may repeat on purpose: addColumn and ftran sum repeated entries.
 func randomSparseCol(rng *rand.Rand, m, maxNz int) ([]int32, []float64) {
 	nz := 1 + rng.Intn(maxNz)
 	rows := make([]int32, nz)
@@ -240,8 +240,8 @@ func TestFtranPathsAgree(t *testing.T) {
 	}
 }
 
-// persistentRes rebuilds the pattern of a vector ftran left behind: its
-// nonzero positions, ascending. (Any superset would also be valid.)
+// persistentRes rebuilds a valid pattern for a vector ftran left behind:
+// its nonzero positions, ascending.
 func persistentRes(v []float64) []int32 {
 	var res []int32
 	for p, x := range v {
