@@ -40,7 +40,7 @@ package lp
 // plain full-length loops, on the same operands, in the same order; it
 // only skips operations those loops would perform on exact zeros. The
 // results agree bit for bit on every nonzero (a skipped 0/d can leave a
-// zero with the other sign, which no later product or sum observes), so
+// zero with the other sign, and no nonzero result depends on it), so
 // pivot sequences and solutions do not depend on the path taken. The
 // property tests in lu_hyper_test.go hold both paths, and the full-scan
 // elimination, to that.
@@ -526,7 +526,7 @@ func (lu *luFactors) btran(c, out []float64) {
 	}
 	// U pass, gathering each step's entry as it goes. A zero entry with an
 	// empty U column stays a zero: the skipped division could only flip
-	// its sign, which no later product or sum can observe.
+	// its sign, and no nonzero result downstream depends on that sign.
 	st := lu.stepv
 	for k := 0; k < lu.nsteps; k++ {
 		s := p[lu.stepPos[k]]
