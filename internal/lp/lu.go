@@ -53,11 +53,7 @@ package lp
 // live in position space; BTRAN inputs are position-space cost vectors and
 // its outputs are row-space duals.
 
-import (
-	"math"
-	"math/bits"
-	"slices"
-)
+import "math"
 
 const (
 	luPivotTol = 1e-10 // absolute floor for an acceptable factorization pivot
@@ -338,13 +334,13 @@ func (lu *luFactors) full() bool { return lu.nsteps == lu.m }
 // result's pattern is cleared, so positions outside the new pattern are
 // zeros. Both paths perform the same floating-point operations in the
 // same order; the reach-ordered one skips the steps and positions the
-// full loops would find zero.
-func (lu *luFactors) ftran(rows []int32, vals []float64, out []float64) {
+// full loops would find zero. It reports whether it took that path.
+func (lu *luFactors) ftran(rows []int32, vals []float64, out []float64) (hyper bool) {
 	for _, p := range lu.res {
 		out[p] = 0
 	}
 	lu.res = lu.res[:0]
-	hyper := lu.density < hyperCut
+	hyper = lu.density < hyperCut
 	switch lu.ftranPath {
 	case ftranForceDense:
 		hyper = false
@@ -369,13 +365,15 @@ func (lu *luFactors) ftran(rows []int32, vals []float64, out []float64) {
 		}
 	}
 	lu.density += densityDecay * (float64(len(lu.res))/float64(lu.m) - lu.density)
+	return hyper
 }
 
 // ftranHyper is ftran over the right-hand side's reach (Hall & McKinnon's
 // hypersparse FTRAN). The L pass pops steps in ascending order from a
 // heap that every newly touched row pushes its own step onto; the U pass
 // pops in descending order (the heap holds ^k); the eta pass is the full
-// loop's, with positions recorded as they fill. Each pass therefore visits
+// loop's, with positions marked as they fill, and a scan of the marks
+// yields the result pattern in ascending order. Each pass therefore visits
 // the steps the full loop would act on, in the full loop's order.
 func (lu *luFactors) ftranHyper(rows []int32, vals []float64, out []float64) {
 	w, mark := lu.hw, lu.rowMark
@@ -408,7 +406,7 @@ func (lu *luFactors) ftranHyper(rows []int32, vals []float64, out []float64) {
 	for _, r := range pat {
 		h = heapPush(h, ^lu.stepOfRow[r])
 	}
-	res, rmark := lu.res, lu.resMark
+	rmark := lu.resMark
 	for len(h) > 0 {
 		var nk int32
 		nk, h = heapPop(h)
@@ -417,7 +415,6 @@ func (lu *luFactors) ftranHyper(rows []int32, vals []float64, out []float64) {
 		p := lu.stepPos[k]
 		out[p] = z
 		rmark[p] = true
-		res = append(res, p)
 		if z == 0 {
 			continue
 		}
@@ -441,10 +438,7 @@ func (lu *luFactors) ftranHyper(rows []int32, vals []float64, out []float64) {
 		}
 		for t := lu.etaPtr[e]; t < lu.etaPtr[e+1]; t++ {
 			p := lu.etaPos[t]
-			if !rmark[p] {
-				rmark[p] = true
-				res = append(res, p)
-			}
+			rmark[p] = true
 			out[p] -= lu.etaVal[t] * z
 		}
 	}
@@ -452,19 +446,11 @@ func (lu *luFactors) ftranHyper(rows []int32, vals []float64, out []float64) {
 		w[r] = 0
 		mark[r] = false
 	}
-	if n := len(res); n*bits.Len(uint(n)) > lu.m/8 {
-		// Collecting the marks in position order beats sorting here.
-		res = res[:0]
-		for p, on := range rmark[:lu.m] {
-			if on {
-				rmark[p] = false
-				res = append(res, int32(p))
-			}
-		}
-	} else {
-		slices.Sort(res)
-		for _, p := range res {
+	res := lu.res[:0]
+	for p, on := range rmark[:lu.m] {
+		if on {
 			rmark[p] = false
+			res = append(res, int32(p))
 		}
 	}
 	lu.rowPat, lu.heap, lu.res = pat, h, res
