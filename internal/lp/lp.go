@@ -233,6 +233,9 @@ type Solver struct {
 	// DenseFallbacks counts sparse solves abandoned to the dense engine
 	// after a numerical bailout (0 in practice).
 	DenseFallbacks int
+	// Ftrans counts the sparse engine's entering-column FTRANs;
+	// HyperFtrans counts those that took the reach-ordered path (lu.go).
+	Ftrans, HyperFtrans int
 }
 
 type rowInfo struct {

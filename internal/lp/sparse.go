@@ -192,7 +192,10 @@ func (s *Solver) colDot(y []float64, j int) float64 {
 // ftranCol FTRANs column j into out (position space).
 func (s *Solver) ftranCol(j int, out []float64) {
 	rows, vals := s.col(j)
-	s.sp.lu.ftran(rows, vals, out)
+	if s.sp.lu.ftran(rows, vals, out) {
+		s.HyperFtrans++
+	}
+	s.Ftrans++
 }
 
 // factorizeSparse (re)factorizes the current basis from scratch and
