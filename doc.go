@@ -49,11 +49,10 @@
 // trial stream runs on one rounding.Workspace, which owns a sparse
 // revised-simplex solver — compressed-column constraint storage, an
 // LU-factorized basis with product-form eta updates, and candidate-list
-// partial pricing (internal/lp; the dense tableau survives as
-// lp.Solver{Dense: true}, the differential-testing reference and numerical
-// fallback) — plus the warm-start chains that seed SEM's round k+1 LP from
-// round k's optimal basis and SUU-T's decomposition block k+1 from block
-// k's machine rows. The rounding path (roundByFlow's group sums, flow
+// partial pricing (internal/lp, the only engine; a dense tableau survives
+// in its tests as the differential reference) — plus the warm-start chains
+// that seed SEM's round k+1 LP from round k's optimal basis and SUU-T's
+// decomposition block k+1 from block k's machine rows. The rounding path (roundByFlow's group sums, flow
 // network, and edge lists) runs on workspace scratch too, so steady-state
 // trials allocate only their escaping results. The sparse engine turned
 // the n=128/m=32 full-set LP1 from ~250 ms (dense) into single-digit

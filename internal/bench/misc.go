@@ -46,7 +46,7 @@ func init() {
 }
 
 // ablSolver compares the two LP engines on LP1-shaped covering programs:
-// the exact dense simplex the pipeline uses, and the width-free MWU
+// the exact sparse simplex the pipeline uses, and the width-free MWU
 // approximation. The MWU value is certified feasible at (1+eps) load, so
 // values within that band mean either engine could drive the rounding.
 func ablSolver(cfg Config) (*Table, error) {
@@ -56,10 +56,9 @@ func ablSolver(cfg Config) (*Table, error) {
 		Header: []string{"n", "m", "t* simplex", "t mwu", "mwu/t*", "simplex ms", "mwu ms"},
 	}
 	for _, n := range cfg.sizes([]int{32, 64, 128, 192}) {
-		// m fixed: the simplex's dense tableau scales with n·m columns and
-		// n+m rows, and beyond ~128×32 a single exact solve takes minutes —
-		// that cliff is exactly the point of this ablation, shown once at
-		// the largest size rather than repeated.
+		// m fixed so the sweep isolates growth in n: the simplex's LP has
+		// n·m+1 columns and n+m rows, while MWU's cost grows with the
+		// covering program's nonzeros.
 		m := 16
 		ins, err := workload.Generate(workload.Spec{Family: "skill", M: m, N: n, Seed: cfg.Seed + int64(n)})
 		if err != nil {

@@ -4,52 +4,43 @@
 //	minimize    c·x
 //	subject to  A x {≤,=,≥} b,   x ≥ 0.
 //
-// Two interchangeable simplex engines share one Solver workspace and one
-// basis encoding:
-//
-//   - The default engine (sparse.go) is a sparse revised simplex. The
-//     constraint matrix is stored once per solve in compressed column form,
-//     the basis is held as a sparse LU factorization with Markowitz-style
-//     threshold pivoting (lu.go), pivots are applied as product-form eta
-//     updates with periodic refactorization, and entering columns are priced
-//     with a candidate-list partial pricing rule (pricing.go). LP1/LP2
-//     matrices are ~95% structural zeros — each x_{i,pos} appears in exactly
-//     one cover row and one machine row — so a pivot costs O(nnz) instead of
-//     the dense tableau's O(rows·cols).
-//
-//   - Solver{Dense: true} selects the dense two-phase tableau engine
-//     (dense.go), the reference implementation the sparse engine is
-//     differentially tested against (sparse t* must equal dense t* to 1e-6
-//     on every workload family). The sparse engine also falls back to it on
-//     numerical bailouts, so callers never observe a sparse-only failure
-//     mode.
+// The engine (sparse.go) is a sparse revised simplex. The constraint matrix
+// is stored once per solve in compressed column form, the basis is held as
+// a sparse LU factorization with Markowitz-style threshold pivoting
+// (lu.go), pivots are applied as product-form eta updates with periodic
+// refactorization, and entering columns are priced with a candidate-list
+// partial pricing rule (pricing.go). LP1/LP2 matrices are ~95% structural
+// zeros — each x_{i,pos} appears in exactly one cover row and one machine
+// row — so a pivot costs O(nnz) instead of a dense tableau's O(rows·cols).
+// The package's tests hold it to a cold dense two-phase tableau, kept only
+// in the tests as the reference (sparse t* must equal the reference's to
+// 1e-6 on every workload family).
 //
 // # Solver workspaces
 //
-// All simplex state lives in a reusable Solver: factors, eta files, pricing
-// lists, and the dense tableau (when used) are allocated once and grown
-// monotonically, so a Monte Carlo worker that re-solves LPs all trial long
-// performs no steady-state solver allocations. The package-level Solve is a
-// convenience wrapper over a throwaway Solver; hot paths should hold one
-// Solver per goroutine (a Solver is not safe for concurrent use) and call
-// its Solve/SolveWarm methods.
+// All simplex state lives in a reusable Solver: factors, eta files and
+// pricing lists are allocated once and grown monotonically, so a Monte
+// Carlo worker that re-solves LPs all trial long performs no steady-state
+// solver allocations. The package-level Solve is a convenience wrapper
+// over a throwaway Solver; hot paths should hold one Solver per goroutine
+// (a Solver is not safe for concurrent use) and call its Solve/SolveWarm
+// methods.
 //
 // # Warm starts
 //
 // Solution records the optimal basis in a problem-independent encoding
 // (Basis). SolveWarm accepts a per-row basis hint in the same encoding and
-// tries to skip phase 1 entirely: it installs the hinted basis (sparse: by
+// tries to skip phase 1 entirely: it installs the hinted basis by
 // LU-factorizing the hinted columns, patching rows the hint cannot claim
-// with their own slack or artificial; dense: by Gaussian-elimination
-// pivoting), repairs any lost primal feasibility with dual simplex steps
-// (the textbook response to a changed right-hand side), and then runs
-// ordinary phase-2 pivots to optimality. Any numerical trouble — a hinted
-// column that cannot be pivoted in, an artificial stuck basic at a positive
-// value, loss of both primal and dual feasibility — abandons the warm path
-// and falls back to a cold solve, so SolveWarm is exactly as robust as
-// Solve and differs only in speed. This is the engine behind the
-// shrinking-subset/doubling-target re-solves of SUU-I-SEM and the
-// cross-block LP2 chain of SUU-T (see internal/rounding).
+// with their own slack or artificial, repairs any lost primal feasibility
+// with dual simplex steps (the textbook response to a changed right-hand
+// side), and then runs ordinary phase-2 pivots to optimality. Any
+// numerical trouble — a hinted column that cannot be pivoted in, an
+// artificial stuck basic at a positive value, loss of both primal and dual
+// feasibility — abandons the warm path and falls back to a cold solve, so
+// SolveWarm is exactly as robust as Solve and differs only in speed. This
+// is the engine behind the shrinking-subset/doubling-target re-solves of
+// SUU-I-SEM and the cross-block LP2 chain of SUU-T (see internal/rounding).
 package lp
 
 import (
@@ -159,21 +150,23 @@ type Solution struct {
 	Warm bool
 }
 
-// ErrIterationLimit is returned if the simplex exceeds its iteration budget,
-// which indicates a numerical pathology rather than a legitimate answer.
+// ErrIterationLimit is the cause, wrapped in ErrUnsolvable, when the simplex
+// exceeds its iteration budget, which indicates a numerical pathology
+// rather than a legitimate answer.
 var ErrIterationLimit = errors.New("lp: simplex iteration limit exceeded")
 
-// ErrUnsolvable marks a problem no engine can finish: the sparse simplex
-// bailed out numerically and the problem is over the dense fallback's size
-// cap, so retrying would only repeat the failure. Callers that serve LP
-// results should surface it as a semantic rejection of the instance (the
-// planning service maps it to HTTP 422), not as an internal server error —
-// the request was understood, and this instance is beyond the engine.
+// ErrUnsolvable marks a problem the engine cannot finish: the sparse
+// simplex bailed out numerically (a singular refactorization or the
+// iteration budget), and retrying the same problem would only repeat the
+// failure. Callers that serve LP results should surface it as a semantic
+// rejection of the instance (the planning service maps it to HTTP 422),
+// not as an internal server error — the request was understood, and this
+// instance is beyond the engine.
 var ErrUnsolvable = errors.New("lp: problem unsolvable within engine limits")
 
-// errNumeric is an internal sentinel for sparse-engine numerical bailouts
-// (a basis refactorization that cannot find acceptable pivots); Solve
-// responds by re-solving on the dense engine.
+// errNumeric is an internal sentinel for numerical bailouts (a basis
+// refactorization that cannot find acceptable pivots); Solve reports it
+// wrapped in ErrUnsolvable.
 var errNumeric = errors.New("lp: sparse basis factorization failed")
 
 const (
@@ -183,58 +176,30 @@ const (
 	pivotTol = 1e-7 // minimum magnitude for install / drive-out pivots
 )
 
-// Solver is a reusable simplex workspace. The default engine is the sparse
-// revised simplex (compressed columns + LU-factorized basis + candidate
-// pricing); Dense selects the dense tableau engine instead. All state is
-// allocated once and grown monotonically, so repeated solves of
+// Solver is a reusable simplex workspace for the sparse revised simplex
+// (compressed columns + LU-factorized basis + candidate pricing). All
+// state is allocated once and grown monotonically, so repeated solves of
 // similar-size problems allocate nothing beyond the returned Solution. A
 // Solver is not safe for concurrent use; hot paths hold one per goroutine
 // (see rounding.Workspace).
 type Solver struct {
-	// Dense routes Solve/SolveWarm through the dense two-phase tableau
-	// engine instead of the sparse revised simplex. The dense engine is
-	// the differential-testing reference and the automatic fallback for
-	// sparse numerical bailouts; production callers leave this false.
-	Dense bool
-
-	// ---- dense tableau engine state (dense.go) ----
-	rows, cols int
-	n          int // original variable count of the current problem
-	artStart   int // first artificial column
-	a          []float64
-	b          []float64
-	basis      []int
-	cost       []float64
-	costRHS    float64
-	banned     []bool
-	iters      int
-	prng       rng.SplitMix64
-
-	auxOf  []int // per column: -1 for original vars, else owning row
-	rowAux []int // per row: its slack/surplus column, -1 for EQ rows
-	rowArt []int // per row: its artificial column, -1 if none
+	sp    spState
+	iters int
+	prng  rng.SplitMix64
 
 	// warm-install scratch
-	inBasis []bool
 	wantCol []bool
-	claimed []bool
 	desired []int
 
 	negArena []Term // normalization scratch for b < 0 rows
 	rowsBuf  []rowInfo
 
-	// ---- sparse revised simplex engine state (sparse.go) ----
-	sp spState
-
 	// Diagnostics: solve counts by path, readable between solves.
 	ColdSolves    int // cold two-phase solves (including warm fallbacks)
 	WarmSolves    int // solves completed on the warm path
 	WarmFallbacks int // warm attempts abandoned to a cold solve
-	// DenseFallbacks counts sparse solves abandoned to the dense engine
-	// after a numerical bailout (0 in practice).
-	DenseFallbacks int
-	// Ftrans counts the sparse engine's entering-column FTRANs;
-	// HyperFtrans counts those that took the reach-ordered path (lu.go).
+	// Ftrans counts the engine's entering-column FTRANs; HyperFtrans
+	// counts those that took the reach-ordered path (lu.go).
 	Ftrans, HyperFtrans int
 }
 
@@ -247,46 +212,22 @@ type rowInfo struct {
 // NewSolver returns an empty workspace. The zero value is also ready to use.
 func NewSolver() *Solver { return &Solver{} }
 
-// Solve solves the problem from a cold (all-slack) start. The error is
-// non-nil only for internal failures (iteration limit) and malformed
-// problems; infeasible/unbounded outcomes are reported via Status.
+// Solve solves the problem from a cold (all-slack) start. Infeasible and
+// unbounded outcomes are reported via Status. The error is non-nil for
+// malformed problems and for numerical bailouts (a singular basis or the
+// iteration budget), which match both ErrUnsolvable and their cause.
 func (s *Solver) Solve(p *Problem) (*Solution, error) {
-	if s.Dense {
-		return s.solveDense(p)
-	}
 	sol, err := s.solveSparse(p)
 	if err == errNumeric || err == ErrIterationLimit {
-		// Numerical bailout: the dense tableau engine is slower but has
-		// different roundoff behavior; let it produce the answer — but
-		// only at sizes where a dense tableau is sane. Past the cap
-		// (n=256-scale LP1 is ~5M entries, a 44 MB tableau retained by
-		// every pooled workspace and a minutes-long solve), surface the
-		// error instead: a visible failure beats a silent stall.
-		if s.denseFallbackFits(p) {
-			s.DenseFallbacks++
-			return s.solveDense(p)
-		}
 		return nil, unsolvableError(p, err)
 	}
 	return sol, err
 }
 
-// unsolvableError wraps a size-capped sparse bailout so callers can match
-// both the typed ErrUnsolvable and the underlying engine failure.
+// unsolvableError wraps a numerical bailout so callers can match both the
+// typed ErrUnsolvable and the underlying engine failure.
 func unsolvableError(p *Problem, cause error) error {
-	return fmt.Errorf("%w: sparse engine failed and problem too large for the dense fallback (%d rows): %w", ErrUnsolvable, len(p.Cons), cause)
-}
-
-// denseFallbackFits caps the automatic sparse→dense bailout: the dense
-// tableau is rows × (vars + one aux column per row bound), and past ~4M
-// entries (32 MB) a fallback would quietly turn an interactive solve into
-// a minutes-long, memory-hoarding one. Every pre-sparse-era problem size
-// fits comfortably.
-func (s *Solver) denseFallbackFits(p *Problem) bool {
-	rows := len(p.Cons)
-	cols := p.NumVars + 2*rows
-	const maxEntries = 4 << 20
-	return rows == 0 || cols <= maxEntries/rows
+	return fmt.Errorf("%w: simplex bailed out numerically (%d rows): %w", ErrUnsolvable, len(p.Cons), cause)
 }
 
 // SolveWarm solves the problem starting from the hinted basis (one entry
@@ -299,16 +240,7 @@ func (s *Solver) SolveWarm(p *Problem, hint []int) (*Solution, error) {
 	if len(hint) != len(p.Cons) {
 		return s.Solve(p)
 	}
-	var (
-		sol *Solution
-		ok  bool
-		err error
-	)
-	if s.Dense {
-		sol, ok, err = s.tryWarm(p, hint)
-	} else {
-		sol, ok, err = s.tryWarmSparse(p, hint)
-	}
+	sol, ok, err := s.tryWarmSparse(p, hint)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +261,7 @@ func Solve(p *Problem) (*Solution, error) {
 
 // normalize rewrites the constraints with b ≥ 0 (negating a row flips
 // LE<->GE) into the solver's reusable row buffer and counts the auxiliary
-// columns both engines append: one slack/surplus per inequality, one
+// columns the engine appends: one slack/surplus per inequality, one
 // artificial per GE/EQ row.
 func (s *Solver) normalize(p *Problem) (rows []rowInfo, slacks, artificials int, err error) {
 	if len(p.C) != p.NumVars {

@@ -73,8 +73,8 @@ func randPerm(src *rng.SplitMix64, n int) []int {
 // the family-based suites do not cover: LP1's optimal value is invariant
 // under any relabeling of machines and jobs, so for generated instances —
 // including degenerate rates and duplicated job columns, which reorder
-// pivot ties — the sparse engine, the dense engine, and both engines on a
-// permuted copy must all report the same t* to 1e-6. A pivot-order or
+// pivot ties — the sparse engine, the dense tableau reference, and both on
+// a permuted copy must all report the same t* to 1e-6. A pivot-order or
 // pricing bug that happens to cancel on nicely-ordered inputs cannot
 // cancel on all 4 views at once.
 func TestLP1MetamorphicPermutationInvariance(t *testing.T) {
@@ -85,7 +85,7 @@ func TestLP1MetamorphicPermutationInvariance(t *testing.T) {
 	}
 	g := scenario.New(777)
 	src := rng.New(778)
-	sparse, dense := lp.NewSolver(), &lp.Solver{Dense: true}
+	sparse := lp.NewSolver()
 	for sc := 0; sc < count; sc++ {
 		ins, err := g.Instance(scenario.Independent)
 		if err != nil {
@@ -95,16 +95,16 @@ func TestLP1MetamorphicPermutationInvariance(t *testing.T) {
 
 		var tstars [4]float64
 		for k, view := range []struct {
-			ins    *model.Instance
-			solver *lp.Solver
-			name   string
+			ins   *model.Instance
+			solve func(*lp.Problem) (*lp.Solution, error)
+			name  string
 		}{
-			{ins, sparse, "sparse"},
-			{ins, dense, "dense"},
-			{perm, sparse, "sparse/permuted"},
-			{perm, dense, "dense/permuted"},
+			{ins, sparse.Solve, "sparse"},
+			{ins, lp.SolveDenseReference, "dense"},
+			{perm, sparse.Solve, "sparse/permuted"},
+			{perm, lp.SolveDenseReference, "dense/permuted"},
 		} {
-			sol, err := view.solver.Solve(buildLP1(view.ins, L))
+			sol, err := view.solve(buildLP1(view.ins, L))
 			if err != nil {
 				t.Fatalf("scenario %d (%s, m=%d n=%d): %v", sc, view.name, view.ins.M, view.ins.N, err)
 			}

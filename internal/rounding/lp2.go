@@ -177,7 +177,9 @@ func (ws *Workspace) solveLP2(ins *model.Instance, chains []dag.Chain) ([][]floa
 		return nil, nil, nil, 0, fmt.Errorf("rounding: LP2 solve: %w", err)
 	}
 	if sol.Status != lp.Optimal {
-		return nil, nil, nil, 0, fmt.Errorf("rounding: LP2 status %v", sol.Status)
+		// LP2 is feasible and bounded by construction, so any other
+		// status is the engine's tolerances failing this instance.
+		return nil, nil, nil, 0, fmt.Errorf("rounding: LP2 status %v: %w", sol.Status, lp.ErrUnsolvable)
 	}
 	x := make([][]float64, m)
 	for i := 0; i < m; i++ {

@@ -11,8 +11,8 @@ import (
 )
 
 // Workspace is a per-goroutine LP engine for the paper's relaxations. It
-// owns a reusable lp.Solver (one flat tableau, grown monotonically — see
-// package lp), arenas for building the LP1/LP2 constraint rows without
+// owns a reusable lp.Solver (sparse simplex state, grown monotonically —
+// see package lp), arenas for building the LP1/LP2 constraint rows without
 // per-solve allocation, and the warm-start chain state for SEM's
 // shrinking-subset / doubling-target re-solves.
 //
@@ -187,7 +187,9 @@ func (ws *Workspace) solveLP1(ins *model.Instance, jobs []int, L float64, warm b
 		return nil, 0, nil, fmt.Errorf("rounding: LP1 solve: %w", err)
 	}
 	if sol.Status != lp.Optimal {
-		return nil, 0, nil, fmt.Errorf("rounding: LP1 status %v", sol.Status)
+		// LP1 is feasible and bounded by construction, so any other
+		// status is the engine's tolerances failing this instance.
+		return nil, 0, nil, fmt.Errorf("rounding: LP1 status %v: %w", sol.Status, lp.ErrUnsolvable)
 	}
 	m := ins.M
 	x := make([][]float64, m)

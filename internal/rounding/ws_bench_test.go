@@ -87,9 +87,9 @@ func BenchmarkRoundLP1(b *testing.B) {
 
 // BenchmarkLP1Solve pins the LP engine itself on the large Table-1 cells:
 // one iteration solves a whole SEM re-solve chain (full set at L=1/2, then
-// shrinking survivor subsets at doubling targets). The cold arm rebuilds a
-// dense tableau from scratch per solve (the pre-workspace engine); the
-// warm arm reuses one workspace and warm-starts every link after the first.
+// shrinking survivor subsets at doubling targets). The cold arm solves
+// every link cold on a fresh workspace (SolveLP1); the warm arm reuses one
+// workspace and warm-starts every link after the first.
 func BenchmarkLP1Solve(b *testing.B) {
 	for _, cell := range workload.Table1LargeCells() {
 		cell.Seed = 9

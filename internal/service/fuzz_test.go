@@ -12,9 +12,10 @@ import (
 // /v1/plan/batch handlers: the server must never panic (a panic in a
 // detached computation would escape net/http's per-connection recover) and
 // must never 5xx — every rejection is a typed 4xx carrying a JSON error
-// body, and every acceptance a 200. The body cap is lowered so mutated
-// inputs cannot grow instances past what a fuzz exec should solve; the
-// committed corpus under testdata/fuzz is generated from internal/scenario
+// body (422 for an instance the LP engine cannot solve), and every
+// acceptance a 200. The body cap is lowered so mutated inputs cannot grow
+// instances past what a fuzz exec should solve; the committed corpus under
+// testdata/fuzz is generated from internal/scenario
 // (go run ./internal/scenario/gencorpus).
 func FuzzPlanRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"instance":{"m":2,"n":2,"q":[[0.5,0],[1,0.25]]}}`))
@@ -22,6 +23,9 @@ func FuzzPlanRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"items":[{"instance":{"m":1,"n":1,"q":[[0.5]]}},{}]}`))
 	f.Add([]byte(`{"instance":{"m":1,"n":1,"q":[[0.5]]},"target":1e999}`))
 	f.Add([]byte(`not json at all`))
+	for _, nc := range nearCertainFailure {
+		f.Add([]byte(nc.body))
+	}
 
 	p := smallPlanner(func(c *Config) { c.Workers = 2; c.QueueDepth = 64; c.CacheCap = 256 })
 	srv := NewServer(p)
@@ -36,7 +40,8 @@ func FuzzPlanRequestDecode(f *testing.F) {
 			switch rec.Code {
 			case http.StatusOK:
 			case http.StatusBadRequest, http.StatusRequestTimeout,
-				http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
+				http.StatusRequestEntityTooLarge, http.StatusTooManyRequests,
+				http.StatusUnprocessableEntity:
 				var eb errorBody
 				if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" {
 					t.Fatalf("%s: %d without a JSON error body: %q (input %q)", path, rec.Code, rec.Body.Bytes(), data)

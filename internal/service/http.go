@@ -143,8 +143,9 @@ func writeError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 	case errors.Is(err, lp.ErrUnsolvable):
-		// The sparse engine failed and the dense fallback refused the size:
-		// deterministic for this instance, so 422 (don't retry), not 500.
+		// The LP engine cannot solve this instance (a numerical bailout or
+		// a relaxation it reports non-optimal): deterministic for this
+		// instance, so 422 (don't retry), not 500.
 		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error()})
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		writeJSON(w, http.StatusRequestTimeout, errorBody{Error: err.Error()})

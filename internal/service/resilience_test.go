@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/lp"
 	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 func mustJSON(t *testing.T, v any) string {
@@ -275,6 +277,87 @@ func TestUnsolvableMapsTo422(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "unsolvable") {
 		t.Errorf("body should name the cause, got %s", rec.Body.String())
 	}
+}
+
+// nearCertainFailure are valid instances whose q = 1−1e-12 puts ℓ below
+// the simplex's 1e-9 tolerance: LP1 (the first, independent) and LP2 (the
+// second, one chain edge) come back Infeasible although both are feasible
+// and bounded by construction. The bodies are fuzz seeds too; policies
+// are the estimate policies that reach each one's LP.
+var nearCertainFailure = []struct {
+	body     string
+	policies []string
+}{
+	{`{"instance":{"m":1,"n":1,"q":[[0.999999999999]]}}`, []string{"sem", "obl"}},
+	{`{"instance":{"m":2,"n":3,"q":[[0.999999999999,0.5,0.5],[0.999999999999,0.5,0.5]],"edges":[[0,1]]}}`, []string{"chains"}},
+}
+
+// TestNearCertainFailureIs422: an instance the LP engine cannot solve is
+// rejected as unprocessable on every endpoint — 422 for a plan or an
+// estimate, a per-item error inside a 200 batch envelope — and is never
+// logged as a server error.
+func TestNearCertainFailureIs422(t *testing.T) {
+	var logs strings.Builder
+	trace.SetOutput(&logs)
+	p := smallPlanner(nil)
+	defer p.Close()
+	srv := NewServer(p)
+	post := func(path, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		return rec
+	}
+	for k, inst := range nearCertainFailure {
+		type endpoint struct {
+			name, path, body string
+			check            func(*httptest.ResponseRecorder) error
+		}
+		cases := []endpoint{
+			{"plan", "/v1/plan", inst.body, want422},
+			{"batch", "/v1/plan/batch", `{"items":[` + inst.body + `]}`, func(rec *httptest.ResponseRecorder) error {
+				var env BatchPlanResponse
+				if rec.Code != http.StatusOK {
+					return fmt.Errorf("status %d (%s), want 200", rec.Code, rec.Body)
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+					return err
+				}
+				if env.Errors != 1 || len(env.Items) != 1 || env.Items[0].Status != "error" ||
+					!strings.Contains(env.Items[0].Error, "unsolvable") {
+					return fmt.Errorf("want one unsolvable item error, got %s", rec.Body)
+				}
+				return nil
+			}},
+		}
+		for _, pol := range inst.policies {
+			body := strings.TrimSuffix(inst.body, "}") + `,"policy":"` + pol + `","trials":10}`
+			cases = append(cases, endpoint{"estimate/" + pol, "/v1/estimate", body, want422})
+		}
+		for _, tc := range cases {
+			if err := tc.check(post(tc.path, tc.body)); err != nil {
+				t.Errorf("instance %d %s: %v", k, tc.name, err)
+			}
+		}
+	}
+	// SetOutput swaps the writer under the logger's lock, so once it
+	// returns every line meant for logs has landed.
+	trace.SetOutput(os.Stderr)
+	if strings.Contains(logs.String(), "level=error") {
+		t.Errorf("unsolvable instances were logged as server errors:\n%s", logs.String())
+	}
+}
+
+func want422(rec *httptest.ResponseRecorder) error {
+	var eb errorBody
+	if rec.Code != http.StatusUnprocessableEntity {
+		return fmt.Errorf("status %d (%s), want 422", rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || !strings.Contains(eb.Error, "unsolvable") {
+		return fmt.Errorf("want a JSON error body naming the cause, got %s", rec.Body)
+	}
+	return nil
 }
 
 // TestBatchBrownoutDegraded: under pressure a batch's eligible miss groups
