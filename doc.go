@@ -52,9 +52,10 @@
 // partial pricing (internal/lp, the only engine; a dense tableau survives
 // in its tests as the differential reference) — plus the warm-start chains
 // that seed SEM's round k+1 LP from round k's optimal basis and SUU-T's
-// decomposition block k+1 from block k's machine rows. The rounding path (roundByFlow's group sums, flow
-// network, and edge lists) runs on workspace scratch too, so steady-state
-// trials allocate only their escaping results. The sparse engine turned
+// decomposition block k+1 from block k's machine rows. The rounding path
+// (roundByFlow's group sums, flow network, and edge lists) runs on
+// workspace scratch too, so steady-state trials allocate only their
+// escaping results. The sparse engine turned
 // the n=128/m=32 full-set LP1 from ~250 ms (dense) into single-digit
 // milliseconds and opened the n=256/m=64 Table-1 cells (t1-xlarge).
 //

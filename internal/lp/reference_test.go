@@ -2,10 +2,10 @@ package lp
 
 // The cold dense two-phase tableau: the reference the sparse revised
 // simplex is differentially tested against (sparse_test.go,
-// metamorphic_test.go). It was the package's engine before the sparse one
-// and lives only in tests. It uses Dantzig pricing with a ratio-test
-// tie-break on basis index and the same stallGuard escalation as the
-// sparse engine, whose Bland backstop guarantees termination.
+// metamorphic_test.go). It shares no pivoting code with the engine. It
+// uses Dantzig pricing with a ratio-test tie-break on basis index and the
+// same stallGuard escalation as the engine, whose Bland backstop
+// guarantees termination.
 
 import (
 	"fmt"
@@ -82,9 +82,7 @@ func (s *denseTableau) setup(p *Problem) error {
 	}
 	s.costRHS = 0
 	s.iters = 0
-	// Deterministic per-shape stream for the randomized anti-stall pricing;
-	// SplitMix64 reseeds by a single word write, unlike the ~4.9 KB
-	// rand.NewSource this replaced.
+	// Deterministic per-shape stream for the randomized anti-stall pricing.
 	s.prng.Seed(int64(m)*1e6 + int64(cols))
 
 	slackIdx, artIdx := n, s.artStart

@@ -461,8 +461,8 @@ func (s *Solver) loadBasicCosts() {
 // ratioTestSparse picks the leaving basis position for the FTRAN'd entering
 // column in s.sp.w, scanning its pattern (positions outside it are zero and
 // never qualify). Ratio ties (within eps) prefer the numerically larger
-// pivot, then the smaller basic column id (a cheap anti-cycling
-// tie-break). Returns -1 if the column is unbounded.
+// pivot, then the smaller basic column id (a cheap anti-cycling tie-break).
+// Returns -1 if the column is unbounded.
 func (s *Solver) ratioTestSparse() int {
 	sp := &s.sp
 	best := -1
@@ -555,10 +555,10 @@ func (s *Solver) extractSparse(p *Problem) *Solution {
 	return &Solution{Status: Optimal, X: x, Obj: obj, Iters: s.iters, Basis: basis}
 }
 
-// tryWarmSparse attempts the warm-start path: install the hinted basis into a fresh LU factorization, repair primal feasibility
-// with dual pivots, finish with primal phase 2. A false ok means the caller
-// should fall back to a cold solve; numerical trouble never escapes as an
-// error.
+// tryWarmSparse attempts the warm-start path: install the hinted basis
+// into a fresh LU factorization, repair primal feasibility with dual
+// pivots, finish with primal phase 2. A false ok means the caller should
+// fall back to a cold solve; numerical trouble never escapes as an error.
 func (s *Solver) tryWarmSparse(p *Problem, hint []int) (sol *Solution, ok bool, err error) {
 	if err := s.setupSparse(p); err != nil {
 		return nil, false, err
@@ -604,11 +604,12 @@ func (s *Solver) tryWarmSparse(p *Problem, hint []int) (sol *Solution, ok bool, 
 // desired columns directly: each column is forward-eliminated against the
 // factors so far and claims the unclaimed row where its magnitude is
 // largest (Gaussian elimination with row partial pivoting, so a basis
-// hinted row-by-row can still install as a column set). Columns that cannot reach an acceptable pivot (departed-structure
-// leftovers, dependent sets) are skipped; unclaimed rows are patched with
-// their own slack/surplus (preferred — for a GE row this converts a would-be
-// stuck artificial into a negative-b row that dualRepair fixes) or
-// artificial. Returns false when no full basis could be assembled.
+// hinted row-by-row can still install as a column set). Columns that
+// cannot reach an acceptable pivot (departed-structure leftovers,
+// dependent sets) are skipped; unclaimed rows are patched with their own
+// slack/surplus (preferred — for a GE row this converts a would-be stuck
+// artificial into a negative-b row that dualRepair fixes) or artificial.
+// Returns false when no full basis could be assembled.
 func (s *Solver) installBasisSparse(hint []int) bool {
 	sp := &s.sp
 	want := growBools(s.wantCol, sp.cols)

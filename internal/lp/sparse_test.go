@@ -140,8 +140,8 @@ func TestSparseMatchesDenseGeneral(t *testing.T) {
 
 // TestSparseWarmChainMatchesDense drives the sparse engine through SEM's
 // shrink/double warm chain and checks every link's objective against a
-// cold solve of the identical problem on the dense reference — the cross-engine version of
-// TestWarmShrinkAndDouble.
+// cold solve of the identical problem on the dense reference — the
+// cross-engine version of TestWarmShrinkAndDouble.
 func TestSparseWarmChainMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	const m, n = 8, 32
