@@ -54,11 +54,11 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8650", "listen address")
 		workers      = flag.Int("workers", 0, "concurrent computations (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 0, "queue depth before 429s (0 = 4x workers)")
+		queue        = flag.Int("queue", 0, "admission cost units waiting for a worker slot before 429s (0 = 4x workers)")
 		cacheCap     = flag.Int("cache-cap", 4096, "cached responses")
 		maxTrials    = flag.Int("max-trials", 10000, "per-request Monte Carlo budget")
 		maxBatch     = flag.Int("max-batch", 256, "items per /v1/plan/batch request")
-		maxItemCost  = flag.Int("max-item-cost", 64, "per-item admission cost budget, in n·m/1024 units")
+		maxItemCost  = flag.Int("max-item-cost", 64, "per-plan admission cost budget (a /v1/plan request or one batch item), in n·m/1024 units")
 		trialWorkers = flag.Int("trial-workers", 2, "Monte Carlo workers per estimate")
 		drainWait    = flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -20,15 +21,25 @@ import (
 const refItemWork = 64 * 16
 
 // itemCost converts an instance's size into admission cost units:
-// ⌈n·m/refItemWork⌉, at least 1. A batch charges the sum over its
-// to-be-computed items against the queue budget, so ten large instances
-// consume the capacity of ten, not of one request.
+// ⌈n·m/refItemWork⌉, at least 1. A plan miss charges it against the queue
+// budget, and a batch the sum over its to-be-computed items, so ten large
+// instances consume the capacity of ten, not of one request.
 func itemCost(ins *model.Instance) int {
 	c := (ins.N*ins.M + refItemWork - 1) / refItemWork
 	if c < 1 {
 		c = 1
 	}
 	return c
+}
+
+// planCost prices a plan miss, single or batch item alike, and rejects
+// one over the per-item budget as a bad request.
+func (p *Planner) planCost(ins *model.Instance) (int, error) {
+	c := itemCost(ins)
+	if c > p.cfg.MaxItemCost {
+		return c, badRequestf("item cost %d units (n=%d, m=%d) over the per-item budget %d", c, ins.N, ins.M, p.cfg.MaxItemCost)
+	}
+	return c, nil
 }
 
 // BatchPlanRequest asks for rounded schedules for a list of instances in
@@ -90,7 +101,8 @@ type BatchPlanResponse struct {
 
 // batchGroup is one unique requestKey's worth of batch items: idxs are the
 // item positions sharing the key (intra-batch duplicates dedupe here,
-// before any flight registration), cost its admission charge.
+// before any flight registration), cost its admission charge once it
+// missed the cache.
 type batchGroup struct {
 	key    requestKey
 	idxs   []int
@@ -100,7 +112,7 @@ type batchGroup struct {
 	target float64
 	class  dag.Class
 
-	val    any
+	val    *cachedFrame
 	err    error
 	source string
 }
@@ -155,7 +167,7 @@ func (p *Planner) planBatch(ctx context.Context, req *BatchPlanRequest, tc *trac
 		key := requestKey{fp: fp, kind: kindPlan, target: target}
 		g, ok := groups[key]
 		if !ok {
-			g = &batchGroup{key: key, cost: itemCost(ins), ins: ins, fp: fp, target: target, class: class}
+			g = &batchGroup{key: key, ins: ins, fp: fp, target: target, class: class}
 			groups[key] = g
 			order = append(order, g)
 		}
@@ -168,15 +180,14 @@ func (p *Planner) planBatch(ctx context.Context, req *BatchPlanRequest, tc *trac
 	// take the degraded fallback here — free of admission charge, exactly
 	// like the single path.
 	var misses []*batchGroup
-	totalCost := 0
+	totalCost, kept := 0, 0
 	degradeNow := p.pressure() >= p.cfg.BrownoutThreshold
 	for _, g := range order {
 		if v, ok := p.cache.peek(g.key); ok {
-			g.val, g.source = v, sourceCached
+			g.val, g.source = v.(*cachedFrame), sourceCached
 			continue
 		}
-		if g.cost > p.cfg.MaxItemCost {
-			g.err = badRequestf("item cost %d units (n=%d, m=%d) over the per-item budget %d", g.cost, g.ins.N, g.ins.M, p.cfg.MaxItemCost)
+		if g.cost, g.err = p.planCost(g.ins); g.err != nil {
 			continue
 		}
 		if degradeNow && p.degradeAllowed(g.class) {
@@ -188,45 +199,30 @@ func (p *Planner) planBatch(ctx context.Context, req *BatchPlanRequest, tc *trac
 		}
 		misses = append(misses, g)
 		totalCost += g.cost
+		if !p.degradeAllowed(g.class) {
+			kept += g.cost
+		}
 	}
 
 	// Admission weighs items, not requests: the batch charges the summed
-	// cost of its to-be-computed items against the same queue budget
-	// single requests count against. A batch whose own cost exceeds the
-	// budget is still admittable — but only against an empty enough line
-	// (otherwise it could never run at all). If the line filled between
-	// the pressure check and here, degrade-eligible groups take the
-	// fallback and only the remainder re-tries admission.
-	if totalCost > 0 {
-		if q := p.queued.Add(int64(totalCost)); q > int64(max(p.cfg.QueueDepth, totalCost)) {
-			p.queued.Add(-int64(totalCost))
-			var keep []*batchGroup
-			kept := 0
-			for _, g := range misses {
-				if !p.degradeAllowed(g.class) {
-					keep = append(keep, g)
-					kept += g.cost
-				}
+	// cost of its to-be-computed items against the same queue budget a
+	// single plan's cost counts against. If the line filled between the
+	// pressure check and here, degrade-eligible groups take the fallback
+	// and only the remainder is charged.
+	degrade, err := p.admit(totalCost, kept)
+	if err != nil {
+		return nil, fmt.Errorf("%w (batch of %d cost units)", err, kept)
+	}
+	if degrade {
+		keep := misses[:0]
+		for _, g := range misses {
+			if p.degradeAllowed(g.class) {
+				g.source = sourceDegraded
+			} else {
+				keep = append(keep, g)
 			}
-			if kept == totalCost {
-				// Nothing degradable; the whole batch rejects as before.
-				return nil, fmt.Errorf("%w (batch of %d cost units)", p.overloaded(), totalCost)
-			}
-			if kept > 0 {
-				if q := p.queued.Add(int64(kept)); q > int64(max(p.cfg.QueueDepth, kept)) {
-					p.queued.Add(-int64(kept))
-					return nil, fmt.Errorf("%w (batch of %d cost units)", p.overloaded(), kept)
-				}
-			}
-			// The remainder is admitted (or empty): the eligible groups
-			// take the fallback.
-			for _, g := range misses {
-				if p.degradeAllowed(g.class) {
-					g.source = sourceDegraded
-				}
-			}
-			misses, totalCost = keep, kept
 		}
+		misses, totalCost = keep, kept
 	}
 
 	// The batch is fully admitted; mint the degraded fallbacks tagged
@@ -234,15 +230,9 @@ func (p *Planner) planBatch(ctx context.Context, req *BatchPlanRequest, tc *trac
 	// counter equal to fallbacks actually delivered.
 	for _, g := range order {
 		if g.source == sourceDegraded {
-			dstart := time.Now()
-			resp := p.degradedPlan(g.ins, g.fp, g.target, g.class)
-			p.obsStage(tc, trace.StageDegrade, dstart)
-			cf, err := p.encodeFrame(resp, tc)
-			if err != nil {
-				g.err, g.source = err, ""
-				continue
-			}
-			g.val = cf
+			var sv served
+			sv, g.err = p.degradedServe(g.ins, g.fp, g.target, g.class, tc)
+			g.val = sv.cf
 		}
 	}
 
@@ -259,21 +249,27 @@ func (p *Planner) planBatch(ctx context.Context, req *BatchPlanRequest, tc *trac
 		}
 	}
 
-	// Fan the misses across the worker pool, one resolver per unique key.
-	// Resolvers coalesce against in-flight singles and other batches
-	// through the same flight table the single path uses.
-	dctx := ctx
-	if req.DeadlineMS > 0 {
-		var cancel context.CancelFunc
-		dctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-		defer cancel()
-	}
+	// Fan the misses across the worker pool, one resolver per unique key,
+	// coalescing against in-flight singles and other batches through the
+	// one flight table. A deadline expiry is the item's error; the
+	// computation then runs on only while some other caller wants it.
+	dctx, cancel := withDeadlineMS(ctx, req.DeadlineMS)
+	defer cancel()
 	var wg sync.WaitGroup
 	for _, g := range misses {
 		wg.Add(1)
 		go func(g *batchGroup) {
 			defer wg.Done()
-			p.resolveBatchGroup(dctx, g, tc)
+			cf, follower, shared, err := p.resolve(dctx, g.key, g.cost, nil, tc, func(abandoned <-chan struct{}, _ func(Progress)) (any, error) {
+				return p.computePlan(g.ins, g.fp, g.target, g.class, abandoned, tc)
+			})
+			g.val, g.err, g.source = cf, err, sourceComputed
+			if follower || shared {
+				g.source = sourceCoalesced
+			}
+			if err != nil && errors.Is(err, dctx.Err()) {
+				g.err = fmt.Errorf("item unfinished at the batch deadline: %w", err)
+			}
 		}(g)
 	}
 	wg.Wait()
@@ -293,14 +289,13 @@ func (p *Planner) planBatch(ctx context.Context, req *BatchPlanRequest, tc *trac
 			}
 			continue
 		}
-		cf := g.val.(*cachedFrame)
-		plan := cf.val.(*PlanResponse)
+		plan := g.val.val.(*PlanResponse)
 		for k, i := range g.idxs {
 			src := g.source
 			if src == sourceComputed && k > 0 {
 				src = sourceCoalesced // intra-batch duplicate of the computed item
 			}
-			items[i] = BatchItemResult{Status: "ok", Source: src, Plan: plan, frame: cf.frame}
+			items[i] = BatchItemResult{Status: "ok", Source: src, Plan: plan, frame: g.val.frame}
 		}
 	}
 	coalescedItems := 0
@@ -324,92 +319,9 @@ func (p *Planner) planBatch(ctx context.Context, req *BatchPlanRequest, tc *trac
 	// Items served off shared work (flight followers, raced-cache peeks,
 	// intra-batch duplicates) recorded a miss above but recomputed
 	// nothing; fold them into the shared-work bucket exactly like the
-	// single path's markShared.
+	// single path's servedOf.
 	if coalescedItems > 0 {
 		p.metrics.coalesced.Add(uint64(coalescedItems))
 	}
 	return resp, nil
-}
-
-// resolveBatchGroup serves one unique uncached key: join the flight as a
-// follower, or lead — re-checking the cache for a raced flight first, then
-// computing on a worker slot via a detached, panic-isolated spawn. The
-// group's admission charge is released the moment it is known not to be
-// queued work anymore (follower join, raced-cache hit, or slot acquired).
-func (p *Planner) resolveBatchGroup(ctx context.Context, g *batchGroup, tc *trace.Ctx) {
-	c, follower := p.flight.join(g.key)
-	if follower {
-		p.queued.Add(-int64(g.cost)) // someone else computes; nothing queued
-		g.source = sourceCoalesced
-		fstart := time.Now()
-		p.await(ctx, g, c)
-		p.obsStage(tc, trace.StageFlight, fstart)
-		return
-	}
-	if v, ok := p.cache.peek(g.key); ok {
-		// A racing flight landed between our peek in pass 1 and the join.
-		p.flight.finish(g.key, c, v, nil)
-		p.queued.Add(-int64(g.cost))
-		g.val, g.source = v, sourceCoalesced
-		return
-	}
-	if v, ok := p.storeGet(g.key, tc); ok {
-		// The durable store holds this plan (this node's disk, or a
-		// peer's): serve it without a slot, exactly like the raced-cache
-		// path — it recorded a miss but computes nothing.
-		p.flight.finish(g.key, c, v, nil)
-		p.queued.Add(-int64(g.cost))
-		g.val, g.source = v, sourceCoalesced
-		return
-	}
-	ins, fp, target, class, cost := g.ins, g.fp, g.target, g.class, g.cost
-	p.spawn(g.key, c, tc, func() (any, error) {
-		// Block for a worker slot (admission already charged the line) —
-		// unless every caller abandons the flight first, in which case the
-		// queued charge is refunded and the work never starts.
-		qstart := time.Now()
-		select {
-		case p.slots <- struct{}{}:
-		case <-c.abandoned:
-			p.queued.Add(-int64(cost))
-			p.metrics.deadlineAbandoned.Add(1)
-			return nil, errAbandoned
-		}
-		p.queued.Add(-int64(cost))
-		p.obsStage(tc, trace.StageQueue, qstart)
-		defer p.release()
-		resp, err := p.computePlan(ins, fp, target, class, c.abandoned, tc)
-		if err != nil {
-			return nil, err
-		}
-		cf, err := p.encodeFrame(resp, tc)
-		if err != nil {
-			return nil, err
-		}
-		p.metrics.plansComputed.Add(1)
-		p.cache.put(g.key, cf)
-		p.storePut(g.key, cf, tc)
-		return cf, nil
-	})
-	g.source = sourceComputed
-	p.await(ctx, g, c)
-}
-
-// await waits for the group's flight under the batch's (possibly
-// deadline-bounded) context. A deadline expiry becomes this item's error
-// and leaves the flight: with other callers still attached the detached
-// computation runs to completion and lands in the cache; stranded alone,
-// it stops at its next checkpoint.
-func (p *Planner) await(ctx context.Context, g *batchGroup, c *flightCall) {
-	select {
-	case <-c.done:
-		g.val, g.err = c.val, c.err
-		if sv, ok := g.val.(storeServed); ok {
-			// The flight we coalesced onto was answered from the store.
-			g.val = sv.val
-		}
-	case <-ctx.Done():
-		p.flight.leave(g.key, c)
-		g.err = fmt.Errorf("item unfinished at the batch deadline: %w", ctx.Err())
-	}
 }

@@ -78,7 +78,7 @@ func (c *planCache) get(k requestKey) (any, bool) {
 }
 
 // peek is get without touching the hit/miss counters: the flight leader's
-// late re-check (see runShared) serves a racing flight's cached result
+// late re-check (see resolve) serves a racing flight's cached result
 // without double-counting a request that already recorded its miss.
 func (c *planCache) peek(k requestKey) (any, bool) { return c.lru.Get(k) }
 

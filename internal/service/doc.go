@@ -13,12 +13,19 @@
 //     survivor-set re-solves are solved once per instance content, not
 //     once per request, within a 1 MiB budget (lp1_cache_* in
 //     /metrics).
-//   - Admission control sits in front of the pool: at most QueueDepth
-//     requests may be queued or running; request QueueDepth+1 is rejected
-//     immediately with ErrOverloaded (HTTP 429) instead of building an
-//     unbounded goroutine backlog. Load shedding this early keeps p99
-//     bounded when the offered load exceeds capacity — the property the
-//     suuload open-loop harness exists to measure.
+//   - Admission control sits in front of the pool, with one cost model:
+//     a plan miss — single or batch item — costs ⌈n·m/1024⌉ units (1 unit
+//     = the n=64, m=16 reference instance; over Config.MaxItemCost it is a
+//     bad request), an estimate miss one unit. QueueDepth bounds the cost
+//     units waiting for a worker slot; running work is not counted. The
+//     charge is taken before the store lookup and refunded on a store or
+//     raced-cache hit, on joining another caller's flight, or when the
+//     work gets its slot. A charge that would take the line past
+//     max(QueueDepth, charge) is rejected immediately with ErrOverloaded
+//     (HTTP 429) instead of building an unbounded goroutine backlog. Load
+//     shedding this early keeps p99 bounded when the offered load exceeds
+//     capacity — the property the suuload open-loop harness exists to
+//     measure.
 //   - Duplicate in-flight requests coalesce: requests are content-addressed
 //     by sched.Fingerprint (a canonical 128-bit hash of (m, n, q, prec)),
 //     and a singleflight group keyed by (fingerprint, kind, params) lets
@@ -39,12 +46,11 @@
 //     individually (validation, per-item cost budget, compute errors, a
 //     missed DeadlineMS in partial-results mode), never the batch; item
 //     payloads are the canonical cached values, with the serving source
-//     ("cached"/"computed"/"coalesced") in the per-item envelope. Batch
-//     admission is the first cut of cost-model backpressure: each
-//     to-be-computed item charges ⌈n·m/1024⌉ units (1 unit = the n=64,
-//     m=16 reference) against the same queue budget single requests count
-//     against, so a batch of heavy instances sheds load like the many
-//     requests it is.
+//     ("cached"/"computed"/"coalesced") in the per-item envelope. A batch
+//     is charged the summed cost of its to-be-computed items in one
+//     admission, so a batch of heavy instances sheds load like the many
+//     requests it is; a single plan miss is admitted and resolved as a
+//     batch of one.
 //   - Metrics counts everything (hits, misses, coalesced, rejected,
 //     in-flight, per-item batch outcomes, a batch-size distribution) and
 //     records per-endpoint latency in stats.Histogram; Server exposes it

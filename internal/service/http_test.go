@@ -218,6 +218,32 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 }
 
+// TestHTTPPlanOverItemBudget: /v1/plan applies the per-item cost budget a
+// batch item gets — an instance over MaxItemCost is a 400 with the same
+// error text its batch item carries, not a computation.
+func TestHTTPPlanOverItemBudget(t *testing.T) {
+	ts, p := newTestServer(t, func(c *Config) { c.MaxItemCost = 2 })
+	big := testInstance(t, "uniform", 33, 64, 9) // n·m = 2112 → 3 cost units
+	resp, body := postJSON(t, ts, "/v1/plan", big)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d (%s), want 400", resp.StatusCode, body)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil || !strings.Contains(eb.Error, "per-item budget") {
+		t.Fatalf("error body %s", body)
+	}
+	batch, err := p.PlanBatch(context.Background(), &BatchPlanRequest{Items: []PlanRequest{*big}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := batch.Items[0].Error; got != eb.Error {
+		t.Errorf("single error %q, batch item error %q", eb.Error, got)
+	}
+	if snap := p.Metrics(); snap.PlansComputed != 0 {
+		t.Errorf("over-budget plans computed: %d", snap.PlansComputed)
+	}
+}
+
 func TestHTTPEstimateStreaming(t *testing.T) {
 	ts, _ := newTestServer(t, func(c *Config) { c.ProgressChunk = 5 })
 	ins := testInstance(t, "uniform", 3, 6, 23).Instance

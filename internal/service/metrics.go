@@ -178,20 +178,25 @@ func (m *Metrics) addPayloadBytes(n int, spliced bool) {
 	}
 }
 
-// observe records one finished request of the given kind. A caller
-// abandoning its wait is counted as canceled, not as a server error —
-// the detached computation usually completes fine and lands in the cache.
+// observeFailure classifies one failed request. A caller abandoning its
+// wait is counted as canceled, not as a server error — the detached
+// computation usually completes fine and lands in the cache.
+func (m *Metrics) observeFailure(err error) {
+	switch {
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		m.canceled.Add(1)
+	case errors.Is(err, ErrOverloaded):
+		m.errors.Add(1)
+		m.rejected.Add(1)
+	default:
+		m.errors.Add(1)
+	}
+}
+
+// observe records one finished request of the given kind.
 func (m *Metrics) observe(kind uint8, d time.Duration, err error) {
 	if err != nil {
-		switch {
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			m.canceled.Add(1)
-		case errors.Is(err, ErrOverloaded):
-			m.errors.Add(1)
-			m.rejected.Add(1)
-		default:
-			m.errors.Add(1)
-		}
+		m.observeFailure(err)
 		return
 	}
 	var h *stats.Histogram
@@ -210,20 +215,12 @@ func (m *Metrics) observe(kind uint8, d time.Duration, err error) {
 	}
 }
 
-// observeBatch records one finished batch request. Error classification
-// matches observe; per-item counts come off the response so they are only
-// claimed for batches whose response was actually delivered.
+// observeBatch records one finished batch request. Per-item counts come
+// off the response so they are only claimed for batches whose response
+// was actually delivered.
 func (m *Metrics) observeBatch(d time.Duration, resp *BatchPlanResponse, err error) {
 	if err != nil {
-		switch {
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			m.canceled.Add(1)
-		case errors.Is(err, ErrOverloaded):
-			m.errors.Add(1)
-			m.rejected.Add(1)
-		default:
-			m.errors.Add(1)
-		}
+		m.observeFailure(err)
 		return
 	}
 	m.mu.Lock()

@@ -92,8 +92,10 @@ type Config struct {
 	// Workers bounds concurrent plan/estimate computations (default
 	// GOMAXPROCS). Each computation borrows one rounding.Workspace.
 	Workers int
-	// QueueDepth bounds requests waiting for a worker slot; request
-	// QueueDepth+1 is rejected with ErrOverloaded (default 4×Workers).
+	// QueueDepth bounds the admission line: the cost units (see itemCost;
+	// an estimate is one unit) waiting for a worker slot. Running work is
+	// not counted. A charge that would take the line past max(QueueDepth,
+	// charge) is rejected with ErrOverloaded (default 4×Workers).
 	QueueDepth int
 	// CacheCap bounds total cached responses (default 4096).
 	CacheCap int
@@ -114,10 +116,11 @@ type Config struct {
 	// (default 256). Larger batches are a bad request, not an overload:
 	// the client should split them.
 	MaxBatchItems int
-	// MaxItemCost bounds the admission cost of a single batch item, in
-	// units of the reference instance size (see itemCost; default 64,
-	// i.e. n·m up to 64×1024). An item over it gets a per-item error —
-	// one oversized instance must not poison its batch.
+	// MaxItemCost bounds the admission cost of one plan — a /v1/plan
+	// request or one batch item — in units of the reference instance size
+	// (see itemCost; default 64, i.e. n·m up to 64×1024). A plan over it is
+	// a bad request; in a batch that is a per-item error — one oversized
+	// instance must not poison its batch.
 	MaxItemCost int
 	// DegradedPolicy selects the brownout behavior when admission pressure
 	// crosses BrownoutThreshold: DegradeNever (default) keeps rejecting
@@ -136,8 +139,8 @@ type Config struct {
 	// for fault injection (internal/faults) and tests.
 	ComputeHook func() error
 	// Store, if non-nil, is the durable/replicated tier under the
-	// response LRU: compute closures read through it before taking a
-	// worker slot and persist what they compute; Warmup waits for its
+	// response LRU: a flight leader reads through it before taking a
+	// worker slot and persists what it computes; Warmup waits for its
 	// recovery (disk index rebuild, anti-entropy) before /readyz flips.
 	// The planner does not own its lifecycle — whoever built the store
 	// closes it, after Planner.Close.
@@ -468,32 +471,33 @@ func (p *Planner) untrack() {
 	p.lmu.Unlock()
 }
 
-// acquireFlight takes a worker slot for c's computation, failing fast with
-// ErrOverloaded when the waiting line is already QueueDepth deep — the 429
-// path that keeps the backlog (and therefore p99) bounded under overload.
-// A computation admitted into the line waits for a slot until either one
-// frees or every caller abandons the flight (c.abandoned closes): a plan
-// nobody is waiting for must not keep burning queue and pool capacity.
-// Work with live followers keeps waiting — one impatient caller never
-// cancels a shared result.
-func (p *Planner) acquireFlight(c *flightCall) error {
-	if q := p.queued.Add(1); int(q) > p.cfg.QueueDepth {
-		p.queued.Add(-1)
-		return p.overloaded()
+// admit charges cost units against the admission line, failing fast with
+// ErrOverloaded when the charge would take the line past max(QueueDepth,
+// cost) — the 429 path that keeps the backlog (and therefore p99) bounded
+// under overload. A charge above the whole budget is still admittable,
+// but only against an empty enough line: otherwise it could never run.
+// resolve refunds the charge once the work is known not to wait for a
+// slot. A zero charge always fits.
+//
+// keep is the part of cost that may not degrade. When the full charge is
+// refused and keep < cost, keep alone re-tries; if it fits, admit reports
+// degrade and the other cost−keep units take the brownout fallback
+// instead of queueing.
+func (p *Planner) admit(cost, keep int) (degrade bool, err error) {
+	fits := func(c int) bool {
+		if q := p.queued.Add(int64(c)); c > 0 && q > int64(max(p.cfg.QueueDepth, c)) {
+			p.queued.Add(-int64(c))
+			return false
+		}
+		return true
 	}
-	var abandoned <-chan struct{}
-	if c != nil {
-		abandoned = c.abandoned
+	switch {
+	case fits(cost):
+		return false, nil
+	case keep == cost || !fits(keep):
+		return false, p.overloaded()
 	}
-	select {
-	case p.slots <- struct{}{}:
-		p.queued.Add(-1)
-		return nil
-	case <-abandoned:
-		p.queued.Add(-1)
-		p.metrics.deadlineAbandoned.Add(1)
-		return errAbandoned
-	}
+	return true, nil
 }
 
 func (p *Planner) release() { <-p.slots }
@@ -516,12 +520,6 @@ func (p *Planner) degradeAllowed(class dag.Class) bool {
 	default:
 		return false
 	}
-}
-
-// shouldDegrade is the brownout decision for a plan request: policy allows
-// the class and pressure has crossed the threshold.
-func (p *Planner) shouldDegrade(class dag.Class) bool {
-	return p.degradeAllowed(class) && p.pressure() >= p.cfg.BrownoutThreshold
 }
 
 // observeUnitCost folds one computation's wall time into the EWMA that
@@ -616,42 +614,50 @@ func (p *Planner) spawn(key requestKey, c *flightCall, tc *trace.Ctx, fn func() 
 	}()
 }
 
-// runShared executes fn at most once per key across concurrent callers.
-// The computation runs on a detached goroutine (spawn) that survives
-// caller cancellation: coalesced followers and the cache still want the
-// result when the leader's client disconnects, so a leader hang-up must
-// not poison the flight with its context error. The caller waits under
-// its own ctx; a caller that gives up leaves the flight, and only when the
-// LAST caller leaves is the computation abandoned — it then stops at its
-// next checkpoint (slot wait, solve boundary, Monte Carlo chunk) instead
-// of running to completion, so deadline-expired work stops burning pool
-// slots. Work any live follower still wants runs to completion and lands
-// in the cache.
+// resolve serves one uncached key for a caller already charged cost
+// admission units (see admit), computing it at most once across every
+// concurrent single and batch caller. A caller that finds the key in
+// flight follows it, and its charge is refunded: someone else computes.
+// A new leader first re-checks the response cache (an uncounted peek —
+// the caller already recorded its miss), because a racing flight may have
+// landed between that miss and the join, then reads through the durable
+// store; either hit finishes the flight inline and refunds the charge.
+// Otherwise compute runs on a detached goroutine (spawn) that waits for a
+// worker slot, refunding the charge when it gets one, then encodes the
+// result and lands it in the cache and the store.
 //
-// A new leader re-checks the response cache (an uncounted peek — the
-// caller already recorded its miss) before spawning fn: a racing flight
-// for the same key may have landed between this caller's cache miss and
-// its join, and recomputing its cached result would waste a worker slot.
-// A peek hit finishes the flight inline and returns fromCache=true so
-// callers label and meter the response as cache-served, not computed.
+// The computation survives caller cancellation: followers and the cache
+// still want the result when the leader's client disconnects. Every
+// caller waits under its own ctx; a caller that gives up leaves the
+// flight, and only when the LAST caller leaves is the computation
+// abandoned — it then stops at its next checkpoint (slot wait, solve
+// boundary, Monte Carlo chunk) instead of burning pool slots.
 //
-// onProgress, if non-nil and this caller leads, observes the progress fn
-// emits. Progress flows through a channel drained by this (caller)
-// goroutine, so onProgress never runs on the detached computation
-// goroutine — it may touch the caller's ResponseWriter, which dies with
-// the caller.
-func (p *Planner) runShared(ctx context.Context, key requestKey, onProgress func(Progress), tc *trace.Ctx, fn func(fl *flightCall, emit func(Progress)) (any, error)) (v any, err error, follower, fromCache bool) {
+// onProgress, if non-nil and this caller leads, observes the progress
+// compute emits. Progress flows through a channel drained by this
+// (caller) goroutine, so onProgress never runs on the detached goroutine
+// — it may touch the caller's ResponseWriter, which dies with the caller.
+//
+// follower reports that the caller rode another caller's flight, shared
+// that it was served a raced cache entry or a store hit. Either way it
+// recorded a cache miss but computed nothing.
+func (p *Planner) resolve(ctx context.Context, key requestKey, cost int, onProgress func(Progress), tc *trace.Ctx, compute func(abandoned <-chan struct{}, emit func(Progress)) (any, error)) (cf *cachedFrame, follower, shared bool, err error) {
 	c, follower := p.flight.join(key)
 	var progCh chan Progress
 	if follower {
-		// A coalesced follower's wait on the leader is its whole story:
-		// meter it as the flight stage.
+		p.queued.Add(-int64(cost))
+		// A follower's wait on the leader is its whole story: meter it as
+		// the flight stage.
 		defer p.obsStage(tc, trace.StageFlight, time.Now())
-	}
-	if !follower {
-		if cv, ok := p.cache.peek(key); ok {
-			p.flight.finish(key, c, cv, nil)
-			return cv, nil, false, true
+	} else {
+		v, ok := p.cache.peek(key)
+		if !ok {
+			v, ok = p.storeGet(key, tc)
+		}
+		if ok {
+			p.queued.Add(-int64(cost))
+			p.flight.finish(key, c, v, nil)
+			return v.(*cachedFrame), false, true, nil
 		}
 		emit := func(Progress) {}
 		if onProgress != nil {
@@ -664,7 +670,35 @@ func (p *Planner) runShared(ctx context.Context, key requestKey, onProgress func
 				}
 			}
 		}
-		p.spawn(key, c, tc, func() (any, error) { return fn(c, emit) })
+		p.spawn(key, c, tc, func() (any, error) {
+			qstart := time.Now()
+			select {
+			case p.slots <- struct{}{}:
+				p.queued.Add(-int64(cost))
+			case <-c.abandoned:
+				// Nobody waits any more: a plan nobody wants must not keep
+				// burning queue and pool capacity.
+				p.queued.Add(-int64(cost))
+				p.metrics.deadlineAbandoned.Add(1)
+				return nil, errAbandoned
+			}
+			p.obsStage(tc, trace.StageQueue, qstart)
+			defer p.release()
+			v, err := compute(c.abandoned, emit)
+			if err != nil {
+				return nil, err
+			}
+			cf, err := p.encodeFrame(v, tc)
+			if err != nil {
+				return nil, err
+			}
+			if key.kind == kindPlan {
+				p.metrics.plansComputed.Add(1)
+			}
+			p.cache.put(key, cf)
+			p.storePut(key, cf, tc)
+			return cf, nil
+		})
 	}
 	for {
 		select {
@@ -682,25 +716,28 @@ func (p *Planner) runShared(ctx context.Context, key requestKey, onProgress func
 					progCh = nil
 				}
 			}
-			return c.val, c.err, follower, false
+			if c.err != nil {
+				return nil, follower, false, c.err
+			}
+			return c.val.(*cachedFrame), follower, false, nil
 		case <-ctx.Done():
 			p.flight.leave(key, c)
-			return nil, ctx.Err(), follower, false
+			return nil, follower, false, ctx.Err()
 		}
 	}
 }
 
-// shareServed meters and labels a response served from shared work rather
-// than this request's own computation — a coalesced follower
-// (coalescedFlight) or a leader's late cache peek. Both count in the
-// coalesced bucket: each such caller already recorded a cache miss, so
+// servedOf labels a resolved single request. Followers and shared hits
+// count in the coalesced bucket: each already recorded a cache miss, so
 // the reported hit rate stays ≤ 1.
-func (p *Planner) shareServed(cf *cachedFrame, coalescedFlight bool) served {
-	p.metrics.coalesced.Add(1)
-	if coalescedFlight {
-		return served{cf: cf, coalesced: true}
+func (p *Planner) servedOf(cf *cachedFrame, follower, shared bool, err error) (served, error) {
+	if err != nil {
+		return served{}, err
 	}
-	return served{cf: cf, cached: true}
+	if follower || shared {
+		p.metrics.coalesced.Add(1)
+	}
+	return served{cf: cf, cached: shared, coalesced: follower}, nil
 }
 
 // PlanRun is one run of a planned schedule on the wire.
@@ -819,56 +856,32 @@ func (p *Planner) plan(ctx context.Context, req *PlanRequest, tc *trace.Ctx) (se
 	if v, ok := p.cache.get(key); ok {
 		return served{cf: v.(*cachedFrame), cached: true}, nil
 	}
-	// Brownout: past the pressure threshold an eligible request skips the
-	// line (and the flight table — degraded answers are never shared or
-	// cached) and gets the cheap fallback immediately.
-	if p.shouldDegrade(class) {
-		return p.degradedServe(ins, fp, target, class, tc)
-	}
-	v, err, shared, fromCache := p.runShared(ctx, key, nil, tc, func(fl *flightCall, _ func(Progress)) (any, error) {
-		// Read through the durable store before burning a worker slot:
-		// a plan any replica ever computed is a deserialization, not a
-		// solve. Coalesced followers ride the same lookup.
-		if sv, ok := p.storeGet(key, tc); ok {
-			return storeServed{val: sv}, nil
-		}
-		qstart := time.Now()
-		if err := p.acquireFlight(fl); err != nil {
-			return nil, err
-		}
-		p.obsStage(tc, trace.StageQueue, qstart)
-		defer p.release()
-		resp, err := p.computePlan(ins, fp, target, class, fl.abandoned, tc)
-		if err != nil {
-			return nil, err
-		}
-		cf, err := p.encodeFrame(resp, tc)
-		if err != nil {
-			return nil, err
-		}
-		p.metrics.plansComputed.Add(1)
-		p.cache.put(key, cf)
-		p.storePut(key, cf, tc)
-		return cf, nil
-	})
+	// A miss resolves as a batch of one: the same per-item budget, cost
+	// charge and brownout split a batch item gets. Past the pressure
+	// threshold an eligible request skips the line (and the flight table —
+	// degraded answers are never shared or cached) and gets the cheap
+	// fallback immediately.
+	cost, err := p.planCost(ins)
 	if err != nil {
-		// The line filled between the pressure check and admission; under
-		// a degrade policy the fallback still beats a 429.
-		if errors.Is(err, ErrOverloaded) && p.degradeAllowed(class) {
-			return p.degradedServe(ins, fp, target, class, tc)
-		}
 		return served{}, err
 	}
-	if sv, ok := v.(storeServed); ok {
-		// Store-served responses count as shared work: this caller
-		// recorded an LRU miss but computed nothing.
-		v, fromCache = sv.val, true
+	eligible := p.degradeAllowed(class)
+	degrade := eligible && p.pressure() >= p.cfg.BrownoutThreshold
+	if !degrade {
+		keep := cost
+		if eligible {
+			keep = 0
+		}
+		if degrade, err = p.admit(cost, keep); err != nil {
+			return served{}, err
+		}
 	}
-	cf := v.(*cachedFrame)
-	if shared || fromCache {
-		return p.shareServed(cf, shared), nil
+	if degrade {
+		return p.degradedServe(ins, fp, target, class, tc)
 	}
-	return served{cf: cf}, nil
+	return p.servedOf(p.resolve(ctx, key, cost, nil, tc, func(abandoned <-chan struct{}, _ func(Progress)) (any, error) {
+		return p.computePlan(ins, fp, target, class, abandoned, tc)
+	}))
 }
 
 // degradedServe wraps the brownout fallback in a one-off frame. Degraded
@@ -1132,39 +1145,13 @@ func (p *Planner) estimate(ctx context.Context, req *EstimateRequest, onProgress
 	if v, ok := p.cache.get(key); ok {
 		return served{cf: v.(*cachedFrame), cached: true}, nil
 	}
-	v, err, shared, fromCache := p.runShared(ctx, key, onProgress, tc, func(fl *flightCall, emit func(Progress)) (any, error) {
-		if sv, ok := p.storeGet(key, tc); ok {
-			return storeServed{val: sv}, nil
-		}
-		qstart := time.Now()
-		if err := p.acquireFlight(fl); err != nil {
-			return nil, err
-		}
-		p.obsStage(tc, trace.StageQueue, qstart)
-		defer p.release()
-		resp, err := p.computeEstimate(ins, fp, name, newPol(), trials, req.Seed, fl.abandoned, emit, tc)
-		if err != nil {
-			return nil, err
-		}
-		cf, err := p.encodeFrame(resp, tc)
-		if err != nil {
-			return nil, err
-		}
-		p.cache.put(key, cf)
-		p.storePut(key, cf, tc)
-		return cf, nil
-	})
-	if err != nil {
+	// Estimates never degrade: a degraded sample would be silently wrong.
+	if _, err := p.admit(1, 1); err != nil {
 		return served{}, err
 	}
-	if sv, ok := v.(storeServed); ok {
-		v, fromCache = sv.val, true
-	}
-	cf := v.(*cachedFrame)
-	if shared || fromCache {
-		return p.shareServed(cf, shared), nil
-	}
-	return served{cf: cf}, nil
+	return p.servedOf(p.resolve(ctx, key, 1, onProgress, tc, func(abandoned <-chan struct{}, emit func(Progress)) (any, error) {
+		return p.computeEstimate(ins, fp, name, newPol(), trials, req.Seed, abandoned, emit, tc)
+	}))
 }
 
 // computeEstimate runs the Monte Carlo in ProgressChunk batches. Batch b

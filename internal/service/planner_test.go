@@ -405,30 +405,42 @@ func TestEstimateCoalescesDuplicates(t *testing.T) {
 	}
 }
 
-// TestRunSharedLeaderServesRacedCache pins the leader's late cache
-// re-check: when an identical flight landed between a caller's cache miss
-// and its join, the new leader serves the cached result (flagged
-// fromCache so the endpoints label it cached) instead of recomputing —
-// and the uncounted peek leaves the hit/miss counters alone (the caller
-// already recorded its miss).
-func TestRunSharedLeaderServesRacedCache(t *testing.T) {
-	p := smallPlanner(nil)
-	key := requestKey{kind: kindPlan, target: 0.25}
-	want := &PlanResponse{Fingerprint: "raced"}
-	p.cache.put(key, want)
-	v, err, shared, fromCache := p.runShared(context.Background(), key, nil, nil, func(*flightCall, func(Progress)) (any, error) {
-		t.Error("computation ran despite a cached result for its key")
-		return nil, errors.New("unreachable")
-	})
-	if err != nil || shared || !fromCache || v.(*PlanResponse) != want {
-		t.Fatalf("v=%v err=%v shared=%v fromCache=%v", v, err, shared, fromCache)
-	}
-	if h, m := p.cache.hits.Load(), p.cache.misses.Load(); h != 0 || m != 0 {
-		t.Fatalf("peek touched the counters: hits=%d misses=%d", h, m)
-	}
-	// The inline finish removed the flight: a fresh caller leads again.
-	if _, follower := p.flight.join(key); follower {
-		t.Fatal("flight entry leaked after the peek-served finish")
+// TestResolveLeaderServesRacedCache pins the leader's late cache
+// re-check, for plan and estimate keys alike: when an identical flight
+// landed between a caller's cache miss and its join, the new leader serves
+// the cached result (reported shared, so the endpoints label it cached)
+// instead of recomputing, refunds the caller's admission charge — and the
+// uncounted peek leaves the hit/miss counters alone (the caller already
+// recorded its miss).
+func TestResolveLeaderServesRacedCache(t *testing.T) {
+	for _, tc := range []struct {
+		key requestKey
+		val any
+	}{
+		{requestKey{kind: kindPlan, target: 0.25}, &PlanResponse{Fingerprint: "raced"}},
+		{requestKey{kind: kindEstimate, policy: "sem", trials: 20, seed: 3}, &EstimateResponse{Fingerprint: "raced"}},
+	} {
+		p := smallPlanner(nil)
+		want := newCachedFrame(tc.val, []byte(`{"cached":false}`))
+		p.cache.put(tc.key, want)
+		p.queued.Add(1) // the caller's admission charge
+		cf, follower, shared, err := p.resolve(context.Background(), tc.key, 1, nil, nil, func(<-chan struct{}, func(Progress)) (any, error) {
+			t.Error("computation ran despite a cached result for its key")
+			return nil, errors.New("unreachable")
+		})
+		if err != nil || follower || !shared || cf != want {
+			t.Fatalf("kind %d: cf=%v err=%v follower=%v shared=%v", tc.key.kind, cf, err, follower, shared)
+		}
+		if h, m := p.cache.hits.Load(), p.cache.misses.Load(); h != 0 || m != 0 {
+			t.Fatalf("kind %d: peek touched the counters: hits=%d misses=%d", tc.key.kind, h, m)
+		}
+		if q := p.queued.Load(); q != 0 {
+			t.Fatalf("kind %d: raced peek did not refund the charge: queued=%d", tc.key.kind, q)
+		}
+		// The inline finish removed the flight: a fresh caller leads again.
+		if _, follower := p.flight.join(tc.key); follower {
+			t.Fatalf("kind %d: flight entry leaked after the peek-served finish", tc.key.kind)
+		}
 	}
 }
 
@@ -547,6 +559,42 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	<-p2.slots
 	p2.Close() // the detached goroutine must have untracked itself
+}
+
+// TestSingleChargesItemCost pins the one cost model: a single plan is
+// charged ⌈n·m/1024⌉ admission units like a batch item, not one unit per
+// request, and the charge is refunded when every caller abandons the
+// flight before it reaches a worker slot.
+func TestSingleChargesItemCost(t *testing.T) {
+	p := smallPlanner(func(c *Config) { c.Workers = 1 })
+	p.slots <- struct{}{} // the only worker is busy
+	// n·m = 2112 → 3 cost units
+	big := testInstance(t, "uniform", 33, 64, 9)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := p.Plan(ctx, big)
+		errCh <- err
+	}()
+	for p.queued.Load() == 0 {
+		runtime.Gosched()
+	}
+	if q := p.queued.Load(); q != 3 {
+		t.Fatalf("queued = %d after a 33×64 single plan, want 3", q)
+	}
+	cancel()
+	if err := <-errCh; !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	for p.Metrics().Abandoned != 1 {
+		runtime.Gosched()
+	}
+	if q := p.queued.Load(); q != 0 {
+		t.Fatalf("abandonment did not refund the charge: queued=%d", q)
+	}
+	<-p.slots
+	p.Close()
 }
 
 func TestCloseDrainsInFlight(t *testing.T) {

@@ -13,16 +13,12 @@ import (
 )
 
 // The durable store sits under the response LRU as a read-through /
-// write-behind tier: a compute closure checks it after the LRU misses and
-// before burning a worker slot, and persists what it computes. The store
+// write-behind tier: a flight leader (see resolve) checks it after the
+// LRU misses and before burning a worker slot, and persists what it
+// computes. The store
 // holds the same canonical values the LRU does, serialized; its Key is a
 // content address derived from the full requestKey, so every node in a
 // fleet derives identical keys for identical requests.
-
-// storeServed wraps a flight value that was answered from the store
-// rather than computed, so callers downstream of runShared can label it
-// served-from-shared-work (it cost no compute) without new plumbing.
-type storeServed struct{ val any }
 
 // storeKeyOf derives the 128-bit content address for a request: two
 // differently-salted SplitMix64 lanes over the fingerprint and every
