@@ -7,9 +7,10 @@ import (
 )
 
 // TestFtranPathByRelaxation pins which FTRAN path the sparse simplex takes
-// on the paper's two relaxations, without depending on timing. On (LP2) at
-// the chain-plan shape (chains, m=16, n=64; 331 of 355 FTRANs when this
-// test was written) the near-identity basis must keep at least 85% of
+// on the paper's two relaxations, without depending on timing. On the full
+// (LP2) relaxation at the chain-plan shape (chains, m=16, n=64; 331 of 355
+// FTRANs when this test was written) — the problem row generation's round
+// limit falls back to — the near-identity basis must keep at least 85% of
 // FTRANs on the reach-ordered path; on (LP1), whose entering columns are
 // denser, at most 20% may take it (the running density starts at zero, so
 // a solve's first few FTRANs always do). A change that silently falls back
@@ -26,7 +27,7 @@ func TestFtranPathByRelaxation(t *testing.T) {
 			t.Fatal(err)
 		}
 		ws := NewWorkspace()
-		p, _, err := ws.buildLP2(ins, chains)
+		p, _, err := ws.buildLP2Full(ins, chains)
 		if err != nil {
 			t.Fatal(err)
 		}

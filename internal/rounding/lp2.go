@@ -38,21 +38,26 @@ type LP2Result struct {
 //	             Σ_{j∈C_k} d_j ≤ t (C_k),  x_ij ≤ d_j,  d_j ≥ 1,  x ≥ 0,
 //
 // with ℓ′ = min(ℓ, 1). The d_j ≥ 1 bound is folded in by the substitution
-// d_j = 1 + e_j, e_j ≥ 0, which spares n artificial variables. It returns
-// the fractional x*[i][pos] and d*[pos] indexed by position in the
-// flattened chain order, the flattened job list, and t*. One-shot callers
-// only; hot paths hold a Workspace.
+// d_j = 1 + e_j, e_j ≥ 0, which spares n artificial variables. The m·k cap
+// rows x_ij ≤ d_j are generated lazily: the LP is solved on the cover,
+// machine and chain rows, and only the caps the solution violates are
+// added back (see lp2Solution). The answer satisfies every cap and has the
+// full relaxation's optimum t*. It returns the fractional x*[i][pos] and
+// d*[pos] indexed by position in the flattened chain order, the flattened
+// job list, and t*. One-shot callers only; hot paths hold a Workspace.
 func SolveLP2(ins *model.Instance, chains []dag.Chain) ([][]float64, []float64, []int, float64, error) {
 	return NewWorkspace().solveLP2(ins, chains)
 }
 
-// buildLP2 assembles the (LP2) relaxation for the given chains into the
-// workspace's reusable Problem (sharing the LP1 build arenas — a workspace
-// builds one problem at a time). Row order: cover rows (one per job, in
-// flattened chain order), machine rows, chain rows, then the x ≤ d cap
-// rows. Variables: x_{i,pos} at i*k+pos, e_pos at m*k+pos (d = 1+e), t
-// last. It returns the flattened job list, which aliases a workspace arena
-// valid until the next build.
+// buildLP2 assembles the core of the (LP2) relaxation for the given chains
+// into the workspace's reusable Problem (sharing the LP1 build arenas — a
+// workspace builds one problem at a time). Row order: cover rows (one per
+// job, in flattened chain order), machine rows, then chain rows; no x ≤ d
+// cap rows, which row generation appends after them (appendCap). The term
+// arena is sized for the core plus every cap, so appended caps never
+// reallocate it. Variables: x_{i,pos} at i*k+pos, e_pos at m*k+pos
+// (d = 1+e), t last. It returns the flattened job list, which aliases a
+// workspace arena valid until the next build.
 func (ws *Workspace) buildLP2(ins *model.Instance, chains []dag.Chain) (*lp.Problem, []int, error) {
 	m := ins.M
 	jobs := ws.lp2Jobs[:0]
@@ -86,9 +91,8 @@ func (ws *Workspace) buildLP2(ins *model.Instance, chains []dag.Chain) (*lp.Prob
 	ev := func(pos int) int { return m*k + pos }
 	tv := m*k + k
 	nv := m*k + k + 1
-	// Exact term count so the arena never reallocates mid-build: cover
-	// rows (≤ m terms each), machine rows (k+1), chain rows (len+1), cap
-	// rows (2 each).
+	// Term capacity for the core rows — cover (≤ m terms each), machine
+	// (k+1), chain (len+1) — plus 2 for each of the m·k possible caps.
 	nt := m*(k+1) + 3*m*k + len(chains)
 	for _, c := range chains {
 		nt += len(c)
@@ -132,31 +136,50 @@ func (ws *Workspace) buildLP2(ins *model.Instance, chains []dag.Chain) (*lp.Prob
 		// Σ (1+e_j) ≤ t  ⇔  Σ e_j − t ≤ −|C_k|.
 		p.AddConstraint(arena[start:len(arena):len(arena)], lp.LE, -float64(len(c)))
 	}
-	for i := 0; i < m; i++ {
-		for pos := 0; pos < k; pos++ {
-			start := len(arena)
-			// x_ij ≤ d_j = 1 + e_j.
-			arena = append(arena, lp.Term{Var: xv(i, pos), Coef: 1}, lp.Term{Var: ev(pos), Coef: -1})
-			p.AddConstraint(arena[start:len(arena):len(arena)], lp.LE, 1)
-		}
-	}
-	ws.terms = arena[:0]
+	ws.terms = arena
 	return p, jobs, nil
 }
 
-// solveLP2 solves the (LP2) relaxation on the workspace's solver,
-// warm-started from the LP2 cross-block chain when one is recorded. SUU-T
-// solves one (LP2) per forest-decomposition block on the same machine set;
-// the blocks' job sets are disjoint, so job columns carry nothing across,
-// but the machine rows do: the previous block's machine-row basics (slack
-// vs t) are remapped onto this block's machine rows and every other row
-// defaults to its own slack/artificial, exactly the Workspace treatment
-// SEM's LP1 rounds get. Correctness never depends on the hint — the solver
-// falls back to a cold solve on any trouble. Advancing the chain is the
-// caller's job (advanceLP2), so cache hits can advance it identically.
+// appendCap appends the cap row x_{i,pos} ≤ d_pos = 1 + e_pos to the
+// problem buildLP2 assembled, taking its two terms from the arena's
+// reserved tail.
+func (ws *Workspace) appendCap(p *lp.Problem, m, k, i, pos int) {
+	start := len(ws.terms)
+	ws.terms = append(ws.terms, lp.Term{Var: i*k + pos, Coef: 1}, lp.Term{Var: m*k + pos, Coef: -1})
+	p.AddConstraint(ws.terms[start:len(ws.terms):len(ws.terms)], lp.LE, 1)
+}
+
+// lp2MaxCapRounds bounds row generation: after this many re-solves with
+// caps still violated, lp2Solution gives up on the partial LP and solves
+// the full one cold. Measured once per instance (GOMAXPROCS=1, 2-vCPU
+// Xeon VM) against a cold full-LP solve, at m=16/n=64 seeds 1–10 and
+// m=32/n=128 seeds 1–4:
+//   - chains violates no cap: one core solve, 1.6–3.3 ms against 5.6–12 ms
+//     at m=16 and 9–11 ms against 38–41 ms at m=32.
+//   - chains-hard converges after 2–4 re-solves at m=16 (7–21 ms against
+//     30–49 ms) and 7–12 at m=32 (0.24–0.36 s against 0.22–0.52 s).
+//   - chains-skewed converges after 4–8 re-solves on nine m=16 seeds
+//     (3–36 ms against 15–27 ms; seeds 7 and 9 lose) and 6–11 at m=32
+//     (0.02–0.18 s against 0.20–0.23 s). Seed 1 at m=16 never converges:
+//     it still adds about 30 caps a round after 30 rounds, every warm
+//     re-solve exhausts the dual repair's budget and re-solves cold, and
+//     the limit costs it 0.20 s against 0.02 s.
+//
+// A limit of 8 would cost that seed 5× instead of 9×, but sends half the
+// m=32 instances to the fallback at 1.5–2.2× the full LP; 12 lets all of
+// them finish and minimises the summed time over the measured instances.
+const lp2MaxCapRounds = 12
+
+// lp2CapTol is the violation a cap may keep without being generated: the
+// engine's own primal feasibility tolerance.
+const lp2CapTol = 1e-9
+
+// solveLP2 solves the (LP2) relaxation on the workspace's solver (see
+// lp2Solution) and unpacks the optimum into x*, d*, the flattened job list
+// and t*.
 func (ws *Workspace) solveLP2(ins *model.Instance, chains []dag.Chain) ([][]float64, []float64, []int, float64, error) {
 	m := ins.M
-	p, jobs, err := ws.buildLP2(ins, chains)
+	sol, jobs, err := ws.lp2Solution(ins, chains)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
@@ -167,31 +190,103 @@ func (ws *Workspace) solveLP2(ins *model.Instance, chains []dag.Chain) ([][]floa
 		ws.lp2LastBasis = nil
 		return make([][]float64, m), nil, nil, 0, nil
 	}
-	var sol *lp.Solution
-	if ws.lp2Compatible(ins) {
-		sol, err = ws.solver.SolveWarm(p, ws.buildLP2Hint(ins, chains, k))
-	} else {
-		sol, err = ws.solver.Solve(p)
-	}
-	if err != nil {
-		return nil, nil, nil, 0, fmt.Errorf("rounding: LP2 solve: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		// LP2 is feasible and bounded by construction, so any other
-		// status is the engine's tolerances failing this instance.
-		return nil, nil, nil, 0, fmt.Errorf("rounding: LP2 status %v: %w", sol.Status, lp.ErrUnsolvable)
-	}
 	x := make([][]float64, m)
 	for i := 0; i < m; i++ {
 		x[i] = sol.X[i*k : (i+1)*k]
 	}
-	ev := func(pos int) int { return m*k + pos }
 	dstar := make([]float64, k)
 	for pos := 0; pos < k; pos++ {
-		dstar[pos] = 1 + sol.X[ev(pos)]
+		dstar[pos] = 1 + sol.X[m*k+pos]
 	}
 	ws.lp2LastBasis = sol.Basis
 	return x, dstar, jobs, sol.Obj, nil
+}
+
+// lp2Solution solves the (LP2) relaxation by row generation and returns
+// the final solve's Solution with the flattened job list (nil Solution for
+// an empty job list).
+//
+// The first solve covers the core rows only, warm-started from the LP2
+// cross-block chain when one is recorded. SUU-T solves one (LP2) per
+// forest-decomposition block on the same machine set; the blocks' job sets
+// are disjoint, so job columns carry nothing across, but the machine rows
+// do: the previous block's machine-row basics (slack vs t) are remapped
+// onto this block's machine rows and every other row defaults to its own
+// slack/artificial, exactly the Workspace treatment SEM's LP1 rounds get.
+// Advancing the chain is the caller's job (advanceLP2), so cache hits can
+// advance it identically.
+//
+// Each round then appends every cap the solution violates, in (machine,
+// position) order, and re-solves warm from the previous basis with the
+// new rows hinted NoHint: a new cap enters with its slack basic, the old
+// basis stays dual feasible, and the solver's dual repair restores primal
+// feasibility. When that repair gives up the solver re-solves the same
+// rows cold, which is still that round's optimum, so generation goes on
+// from it. Caps are chosen from the solution alone, so equal inputs give
+// equal row sets and SUU-T's Monte Carlo stays deterministic across
+// worker counts. After lp2MaxCapRounds re-solves with caps still violated,
+// the rows are reset to the core plus every cap in (machine, position)
+// order and solved cold — the full relaxation. Correctness never depends
+// on a hint or on the generated row set: every returned solution
+// satisfies every cap and is optimal for the full relaxation.
+func (ws *Workspace) lp2Solution(ins *model.Instance, chains []dag.Chain) (*lp.Solution, []int, error) {
+	p, jobs, err := ws.buildLP2(ins, chains)
+	if err != nil || len(jobs) == 0 {
+		return nil, jobs, err
+	}
+	m, k := ins.M, len(jobs)
+	coreRows, coreTerms := len(p.Cons), len(ws.terms)
+	var sol *lp.Solution
+	if ws.lp2Compatible(ins) {
+		sol, err = ws.solver.SolveWarm(p, ws.buildLP2Hint(ins, k, coreRows))
+	} else {
+		sol, err = ws.solver.Solve(p)
+	}
+	for round := 0; ; round++ {
+		if err != nil {
+			return nil, nil, fmt.Errorf("rounding: LP2 solve: %w", err)
+		}
+		if sol.Status != lp.Optimal {
+			// LP2 is feasible and bounded by construction, so any other
+			// status is the engine's tolerances failing this instance.
+			return nil, nil, fmt.Errorf("rounding: LP2 status %v: %w", sol.Status, lp.ErrUnsolvable)
+		}
+		if round > lp2MaxCapRounds {
+			return sol, jobs, nil // the full relaxation's optimum
+		}
+		prevRows := len(p.Cons)
+		for i := 0; i < m; i++ {
+			for pos := 0; pos < k; pos++ {
+				if sol.X[i*k+pos] > 1+sol.X[m*k+pos]+lp2CapTol {
+					ws.appendCap(p, m, k, i, pos)
+				}
+			}
+		}
+		added := len(p.Cons) - prevRows
+		if added == 0 {
+			return sol, jobs, nil
+		}
+		ws.LP2Caps += added
+		if round == lp2MaxCapRounds {
+			ws.LP2FullSolves++
+			p.Cons, ws.terms = p.Cons[:coreRows], ws.terms[:coreTerms]
+			for i := 0; i < m; i++ {
+				for pos := 0; pos < k; pos++ {
+					ws.appendCap(p, m, k, i, pos)
+				}
+			}
+			sol, err = ws.solver.Solve(p)
+			continue
+		}
+		ws.LP2CapRounds++
+		hint := resizeInts(ws.hint, len(p.Cons))
+		ws.hint = hint
+		copy(hint, sol.Basis)
+		for r := prevRows; r < len(hint); r++ {
+			hint[r] = lp.NoHint
+		}
+		sol, err = ws.solver.SolveWarm(p, hint)
+	}
 }
 
 // lp2Compatible reports whether the LP2 chain can seed a solve on this
@@ -201,15 +296,16 @@ func (ws *Workspace) lp2Compatible(ins *model.Instance) bool {
 }
 
 // buildLP2Hint remaps the previous block's machine-row basis entries onto
-// the new block's rows: machine row i keeps its basic column when that was
-// its own slack or the t variable; every other row (cover, chain, cap —
-// all tied to departed jobs) gets NoHint and defaults to its initial
-// slack/artificial.
-func (ws *Workspace) buildLP2Hint(ins *model.Instance, chains []dag.Chain, k int) []int {
+// the new block's nRows rows: machine row i keeps its basic column when
+// that was its own slack or the t variable; every other row (cover, chain
+// and any generated cap — all tied to departed jobs) gets NoHint and
+// defaults to its initial slack/artificial. Both blocks' rows start with
+// the core rows, so machine row i sits at k+i whatever caps either block
+// generated.
+func (ws *Workspace) buildLP2Hint(ins *model.Instance, k, nRows int) []int {
 	m := ins.M
 	prevK := ws.lp2K
 	prevTv := m*prevK + prevK
-	nRows := k + m + len(chains) + m*k
 	hint := resizeInts(ws.hint, nRows)
 	ws.hint = hint
 	for r := range hint {

@@ -1,6 +1,7 @@
 package rounding
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/model"
 	"repro/internal/sched"
+	"repro/internal/workload"
 )
 
 func randomInstance(rng *rand.Rand, m, n int, g *dag.DAG) *model.Instance {
@@ -271,6 +273,53 @@ func chainsOf(n, per int) (*dag.DAG, []dag.Chain) {
 	return g, chains
 }
 
+// lp2PostViolation checks Lemma 6's post-conditions on a rounded (LP2)
+// solution and describes the first one that fails ("" when all hold).
+func lp2PostViolation(ins *model.Instance, chains []dag.Chain, r *LP2Result) string {
+	m, n := ins.M, ins.N
+	// Mass ≥ 1 under capped ℓ'.
+	for j := 0; j < n; j++ {
+		mass := 0.0
+		for i := 0; i < m; i++ {
+			mass += math.Min(ins.L[i][j], 1) * float64(r.Assignment.X[i][j])
+		}
+		if mass+1e-6 < 1 {
+			return fmt.Sprintf("job %d mass %g < 1", j, mass)
+		}
+	}
+	// Load ≤ ⌈6t*⌉ + repairs.
+	bound := int64(math.Ceil(6*r.TFrac-1e-7)) + int64(r.Repairs)
+	for i := 0; i < m; i++ {
+		if r.Assignment.Load(i) > bound {
+			return fmt.Sprintf("machine %d load %d > %d", i, r.Assignment.Load(i), bound)
+		}
+	}
+	// Chain length ≤ 7t* + repairs (Lemma 6's accounting).
+	for _, c := range chains {
+		var sum int64
+		for _, j := range c {
+			if r.JobLength[j] < 1 {
+				return fmt.Sprintf("job %d length %d < 1", j, r.JobLength[j])
+			}
+			sum += r.JobLength[j]
+		}
+		if float64(sum) > 7*r.TFrac+float64(r.Repairs)+1e-6 {
+			return fmt.Sprintf("chain length %d > 7t*=%g", sum, 7*r.TFrac)
+		}
+	}
+	// Per-job length cap from the flow edge capacities.
+	for j := 0; j < n; j++ {
+		if r.Assignment.JobLength(j) > r.JobLength[j] {
+			return fmt.Sprintf("job %d length inconsistent", j)
+		}
+	}
+	return ""
+}
+
+// TestRoundLP2PostConditions checks Lemma 6's post-conditions on small
+// random chain instances and on the chain families whose (LP2) needs
+// generated cap rows (chains-hard, chains-skewed) at the chain-plan shape
+// m=16, n=64.
 func TestRoundLP2PostConditions(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -285,51 +334,33 @@ func TestRoundLP2PostConditions(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		// Mass ≥ 1 under capped ℓ'.
-		for j := 0; j < n; j++ {
-			mass := 0.0
-			for i := 0; i < m; i++ {
-				mass += math.Min(ins.L[i][j], 1) * float64(r.Assignment.X[i][j])
-			}
-			if mass+1e-6 < 1 {
-				t.Logf("seed %d: job %d mass %g < 1", seed, j, mass)
-				return false
-			}
-		}
-		// Load ≤ ⌈6t*⌉ + repairs.
-		bound := int64(math.Ceil(6*r.TFrac-1e-7)) + int64(r.Repairs)
-		for i := 0; i < m; i++ {
-			if r.Assignment.Load(i) > bound {
-				t.Logf("seed %d: load %d > %d", seed, r.Assignment.Load(i), bound)
-				return false
-			}
-		}
-		// Chain length ≤ 7t* + repairs (Lemma 6's accounting).
-		for _, c := range chains {
-			var sum int64
-			for _, j := range c {
-				if r.JobLength[j] < 1 {
-					t.Logf("seed %d: job %d length %d < 1", seed, j, r.JobLength[j])
-					return false
-				}
-				sum += r.JobLength[j]
-			}
-			if float64(sum) > 7*r.TFrac+float64(r.Repairs)+1e-6 {
-				t.Logf("seed %d: chain length %d > 7t*=%g", seed, sum, 7*r.TFrac)
-				return false
-			}
-		}
-		// Per-job length cap from the flow edge capacities.
-		for j := 0; j < n; j++ {
-			if r.Assignment.JobLength(j) > r.JobLength[j] {
-				t.Logf("seed %d: job %d length inconsistent", seed, j)
-				return false
-			}
+		if v := lp2PostViolation(ins, chains, r); v != "" {
+			t.Logf("seed %d: %s", seed, v)
+			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+	for _, fam := range []string{"chains-hard", "chains-skewed"} {
+		for seed := int64(1); seed <= 3; seed++ {
+			ins, err := workload.Generate(workload.Spec{Family: fam, M: 16, N: 64, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			chains, err := ins.Chains()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := RoundLP2(ins, chains)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", fam, seed, err)
+			}
+			if v := lp2PostViolation(ins, chains, r); v != "" {
+				t.Errorf("%s seed %d: %s", fam, seed, v)
+			}
+		}
 	}
 }
 

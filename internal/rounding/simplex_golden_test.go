@@ -30,11 +30,12 @@ const simplexGoldenPath = "testdata/simplex_trace.json"
 
 // simplexCorpus solves the golden corpus and records every solve:
 //   - cold LP1 at m=16, n=64, L=1/2 on five independent-job families;
-//   - cold LP2 at m=16, n=64 (the chain-plan shape) on three chain families;
+//   - cold LP2 at m=16, n=64 (the chain-plan shape) on three chain families,
+//     each the final solve of row generation (lp2Solution);
 //   - one SEM re-solve chain (full set, then survivor subsets at doubling
 //     targets), warm-started through SolveWarm;
 //   - one SUU-T forest block sequence, each block's (LP2) warm-started from
-//     the previous block's machine rows.
+//     the previous block's machine rows, then row-generated.
 func simplexCorpus(t *testing.T) []simplexTrace {
 	t.Helper()
 	var out []simplexTrace
@@ -88,12 +89,7 @@ func simplexCorpus(t *testing.T) []simplexTrace {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws := NewWorkspace()
-		p, _, err := ws.buildLP2(ins, chains)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sol, err := ws.solver.Solve(p)
+		sol, _, err := NewWorkspace().lp2Solution(ins, chains)
 		record("lp2/"+fam, sol, err)
 	}
 
@@ -127,18 +123,9 @@ func simplexCorpus(t *testing.T) []simplexTrace {
 		ws := NewWorkspace()
 		ws.BeginLP2()
 		for bi, block := range blocks {
-			p, jobs, err := ws.buildLP2(ins, block)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(jobs) == 0 {
+			sol, jobs, err := ws.lp2Solution(ins, block)
+			if err == nil && len(jobs) == 0 {
 				continue
-			}
-			var sol *lp.Solution
-			if ws.lp2Compatible(ins) {
-				sol, err = ws.solver.SolveWarm(p, ws.buildLP2Hint(ins, block, len(jobs)))
-			} else {
-				sol, err = ws.solver.Solve(p)
 			}
 			sol = record(fmt.Sprintf("suut-blocks/block%d", bi), sol, err)
 			h, _ := hashChains([]dag.Chain(block))

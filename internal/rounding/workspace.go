@@ -62,6 +62,12 @@ type Workspace struct {
 	lp2Jobs      []int  // flattened-job-list arena for buildLP2
 	lp2LastBasis []int  // basis recorded by the most recent solveLP2
 
+	// LP2 row-generation diagnostics (see lp2Solution), cumulative over
+	// the workspace's life and readable between solves like lp.Solver's
+	// counters: cap rows generated, warm re-solves after adding caps, and
+	// solves handed to the full relaxation at the round limit.
+	LP2Caps, LP2CapRounds, LP2FullSolves int
+
 	// flow is the rounding scratch (group buffers, flow network, edge
 	// list) roundByFlow reuses across trials.
 	flow roundScratch
