@@ -23,15 +23,18 @@ package lp
 //
 // The kernels cost what the basis's nonzeros cost where that is cheaper
 // than its row count (Hall & McKinnon, "Hyper-sparsity in the revised
-// simplex method", 2005). LP2's basis is nearly the identity — at m=16,
-// n=64 its 1120 rows carry about 190 off-diagonal LU entries — so FTRAN
-// has a hypersparse path: L and U passes driven by step heaps over the
+// simplex method", 2005). The full LP2 relaxation's basis is nearly the
+// identity — at m=16, n=64 its 1120 rows carry about 190 off-diagonal LU
+// entries — so FTRAN has a hypersparse path: L and U passes driven by step heaps over the
 // right-hand side's reach, a result pattern the simplex's ratio test,
 // basic-solution update and eta append iterate instead of 0..m. Each call
 // picks that path or the full-length loops by the running density of
-// recent results (hyperCut): LP2's entering columns come out 4–9% dense
-// on the chains family, LP1's 26–38%, and on LP1 the heap's log factor
-// loses to a straight loop. BTRAN keeps the full-length gather form (LP2's duals are
+// recent results (hyperCut): the full LP2's entering columns come out
+// 4–9% dense on the chains family, LP1's 26–38%, and on LP1 the heap's log
+// factor loses to a straight loop. internal/rounding now solves LP2 on its
+// 96 core rows and adds cap rows only when violated; relative to that
+// smaller basis the columns are denser, and only about 10% of the core
+// solve's FTRANs take the hypersparse path. BTRAN keeps the full-length gather form (LP2's duals are
 // about 10% dense and a reach-ordered BTRAN measured slower); it only
 // skips steps with an empty L column and zero entries with an empty U
 // column.

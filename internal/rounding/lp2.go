@@ -228,7 +228,8 @@ func (ws *Workspace) solveLP2(ins *model.Instance, chains []dag.Chain) ([][]floa
 // the rows are reset to the core plus every cap in (machine, position)
 // order and solved cold — the full relaxation. Correctness never depends
 // on a hint or on the generated row set: every returned solution
-// satisfies every cap and is optimal for the full relaxation.
+// satisfies every cap to within lp2CapTol and is optimal for the full
+// relaxation.
 func (ws *Workspace) lp2Solution(ins *model.Instance, chains []dag.Chain) (*lp.Solution, []int, error) {
 	p, jobs, err := ws.buildLP2(ins, chains)
 	if err != nil || len(jobs) == 0 {
