@@ -33,8 +33,8 @@ package lp
 // 4–9% dense on the chains family, LP1's 26–38%, and on LP1 the heap's log
 // factor loses to a straight loop. internal/rounding now solves LP2 on its
 // 96 core rows and adds cap rows only when violated; relative to that
-// smaller basis the columns are denser, and only about 10% of the core
-// solve's FTRANs take the hypersparse path. BTRAN keeps the full-length gather form (LP2's duals are
+// smaller basis the columns are denser, and about 45% of the core solve's
+// FTRANs take the hypersparse path. BTRAN keeps the full-length gather form (LP2's duals are
 // about 10% dense and a reach-ordered BTRAN measured slower); it only
 // skips steps with an empty L column and zero entries with an empty U
 // column.

@@ -49,15 +49,27 @@ func SolveLP2(ins *model.Instance, chains []dag.Chain) ([][]float64, []float64, 
 	return NewWorkspace().solveLP2(ins, chains)
 }
 
+// LP2 variable layout: t first, then e_pos (d_pos = 1 + e_pos), then
+// x_{i,pos}. The simplex breaks pricing and ratio-test ties by column
+// index, so the order steers its pivot path; with t and e ahead of the
+// m·k x columns the cold core solve at m=16/n=64 (chains, seeds 1–10)
+// takes 0.7 ms against 1.7 ms with t last, and 3 ms against 9.5 ms at
+// m=32/n=128.
+const lp2T = 0
+
+func lp2E(pos int) int { return 1 + pos }
+
+func lp2X(k, i, pos int) int { return 1 + k + i*k + pos }
+
 // buildLP2 assembles the core of the (LP2) relaxation for the given chains
 // into the workspace's reusable Problem (sharing the LP1 build arenas — a
-// workspace builds one problem at a time). Row order: cover rows (one per
-// job, in flattened chain order), machine rows, then chain rows; no x ≤ d
-// cap rows, which row generation appends after them (appendCap). The term
-// arena is sized for the core plus every cap, so appended caps never
-// reallocate it. Variables: x_{i,pos} at i*k+pos, e_pos at m*k+pos
-// (d = 1+e), t last. It returns the flattened job list, which aliases a
-// workspace arena valid until the next build.
+// workspace builds one problem at a time), in the lp2T/lp2E/lp2X variable
+// layout. Row order: cover rows (one per job, in flattened chain order),
+// machine rows, then chain rows; no x ≤ d cap rows, which row generation
+// appends after them (appendCap). The term arena is sized for the core
+// plus every cap, so appended caps never reallocate it. It returns the
+// flattened job list, which aliases a workspace arena valid until the
+// next build.
 func (ws *Workspace) buildLP2(ins *model.Instance, chains []dag.Chain) (*lp.Problem, []int, error) {
 	m := ins.M
 	jobs := ws.lp2Jobs[:0]
@@ -87,9 +99,6 @@ func (ws *Workspace) buildLP2(ins *model.Instance, chains []dag.Chain) (*lp.Prob
 		}
 		posOf[j] = int32(pos)
 	}
-	xv := func(i, pos int) int { return i*k + pos }
-	ev := func(pos int) int { return m*k + pos }
-	tv := m*k + k
 	nv := m*k + k + 1
 	// Term capacity for the core rows — cover (≤ m terms each), machine
 	// (k+1), chain (len+1) — plus 2 for each of the m·k possible caps.
@@ -101,7 +110,7 @@ func (ws *Workspace) buildLP2(ins *model.Instance, chains []dag.Chain) (*lp.Prob
 	p.NumVars = nv
 	ws.cbuf = growFloats(ws.cbuf, nv)
 	p.C = ws.cbuf
-	p.C[tv] = 1
+	p.C[lp2T] = 1
 	p.Cons = p.Cons[:0]
 	if cap(ws.terms) < nt {
 		ws.terms = make([]lp.Term, 0, nt)
@@ -111,7 +120,7 @@ func (ws *Workspace) buildLP2(ins *model.Instance, chains []dag.Chain) (*lp.Prob
 		start := len(arena)
 		for i := 0; i < m; i++ {
 			if l := math.Min(ins.L[i][j], 1); l > 0 {
-				arena = append(arena, lp.Term{Var: xv(i, pos), Coef: l})
+				arena = append(arena, lp.Term{Var: lp2X(k, i, pos), Coef: l})
 			}
 		}
 		if len(arena) == start {
@@ -122,17 +131,17 @@ func (ws *Workspace) buildLP2(ins *model.Instance, chains []dag.Chain) (*lp.Prob
 	for i := 0; i < m; i++ {
 		start := len(arena)
 		for pos := 0; pos < k; pos++ {
-			arena = append(arena, lp.Term{Var: xv(i, pos), Coef: 1})
+			arena = append(arena, lp.Term{Var: lp2X(k, i, pos), Coef: 1})
 		}
-		arena = append(arena, lp.Term{Var: tv, Coef: -1})
+		arena = append(arena, lp.Term{Var: lp2T, Coef: -1})
 		p.AddConstraint(arena[start:len(arena):len(arena)], lp.LE, 0)
 	}
 	for _, c := range chains {
 		start := len(arena)
 		for _, j := range c {
-			arena = append(arena, lp.Term{Var: ev(int(posOf[j])), Coef: 1})
+			arena = append(arena, lp.Term{Var: lp2E(int(posOf[j])), Coef: 1})
 		}
-		arena = append(arena, lp.Term{Var: tv, Coef: -1})
+		arena = append(arena, lp.Term{Var: lp2T, Coef: -1})
 		// Σ (1+e_j) ≤ t  ⇔  Σ e_j − t ≤ −|C_k|.
 		p.AddConstraint(arena[start:len(arena):len(arena)], lp.LE, -float64(len(c)))
 	}
@@ -143,32 +152,42 @@ func (ws *Workspace) buildLP2(ins *model.Instance, chains []dag.Chain) (*lp.Prob
 // appendCap appends the cap row x_{i,pos} ≤ d_pos = 1 + e_pos to the
 // problem buildLP2 assembled, taking its two terms from the arena's
 // reserved tail.
-func (ws *Workspace) appendCap(p *lp.Problem, m, k, i, pos int) {
+func (ws *Workspace) appendCap(p *lp.Problem, k, i, pos int) {
 	start := len(ws.terms)
-	ws.terms = append(ws.terms, lp.Term{Var: i*k + pos, Coef: 1}, lp.Term{Var: m*k + pos, Coef: -1})
+	ws.terms = append(ws.terms, lp.Term{Var: lp2X(k, i, pos), Coef: 1}, lp.Term{Var: lp2E(pos), Coef: -1})
 	p.AddConstraint(ws.terms[start:len(ws.terms):len(ws.terms)], lp.LE, 1)
 }
 
-// lp2MaxCapRounds bounds row generation: after this many re-solves with
-// caps still violated, lp2Solution gives up on the partial LP and solves
-// the full one cold. Measured once per instance (GOMAXPROCS=1, 2-vCPU
-// Xeon VM) against a cold full-LP solve, at m=16/n=64 seeds 1–10 and
-// m=32/n=128 seeds 1–4:
-//   - chains violates no cap: one core solve, 1.6–3.3 ms against 5.6–12 ms
-//     at m=16 and 9–11 ms against 38–41 ms at m=32.
-//   - chains-hard converges after 2–4 re-solves at m=16 (7–21 ms against
-//     30–49 ms) and 7–12 at m=32 (0.24–0.36 s against 0.22–0.52 s).
-//   - chains-skewed converges after 4–8 re-solves on nine m=16 seeds
-//     (3–36 ms against 15–27 ms; seeds 7 and 9 lose) and 6–11 at m=32
-//     (0.02–0.18 s against 0.20–0.23 s). Seed 1 at m=16 never converges:
-//     it still adds about 30 caps a round after 30 rounds, every warm
-//     re-solve exhausts the dual repair's budget and re-solves cold, and
-//     the limit costs it 0.20 s against 0.02 s.
+// lp2MaxCapRounds and lp2WorkBudget bound row generation. After a
+// re-solve that still violates caps, lp2Solution hands over to the full LP
+// (solved cold) once it has made lp2MaxCapRounds re-solves or once the
+// re-solves' simplex work, Σ pivots × rows, exceeds lp2WorkBudget times
+// an estimate of the full LP's: the core solve's pivots times the full
+// row count. The budget is what stops the costly case: a warm re-solve
+// whose dual repair runs out of iterations re-solves cold, and a run of
+// those costs more than the full LP. On chains-skewed seed 1 at
+// m=16/n=64 the round limit alone let generation run 12 such re-solves,
+// 0.20 s against 0.02 s for the full LP.
 //
-// A limit of 8 would cost that seed 5× instead of 9×, but sends half the
-// m=32 instances to the fallback at 1.5–2.2× the full LP; 12 lets all of
-// them finish and minimises the summed time over the measured instances.
-const lp2MaxCapRounds = 12
+// Measured against the full-row LP solved cold (GOMAXPROCS=1, 2-vCPU Xeon
+// VM; seeds 1–10 at m=8/n=40 and m=16/n=64, 1–4 at m=32/n=128), summed
+// time, generation/full:
+//   - chains: 0.22, 0.13, 0.08 — no cap is ever violated past m=8.
+//   - chains-hard: 0.59, 0.34, 0.65; 1–11 re-solves; one m=32 seed is
+//     slower (0.24 s against 0.20 s).
+//   - chains-skewed: 1.86, 0.65, 0.59. Nine of ten m=8 seeds are slower
+//     (0.8–10 ms against 2.7–5.5 ms), as are seeds 1 and 6 at m=16
+//     (48 and 36 ms against 20 and 19 ms) and seed 1 at m=32 (0.41 s
+//     against 0.22 s); each of those ends in the full LP.
+//
+// Replaying the measured per-round costs, a budget of 0.3 sends more
+// chains-hard solves to the fallback and 0.75 makes the failing
+// chains-skewed ones costlier; 0.5 minimised the summed time. No
+// converging solve needed more than 11 re-solves.
+const (
+	lp2MaxCapRounds = 12
+	lp2WorkBudget   = 0.5
+)
 
 // lp2CapTol is the violation a cap may keep without being generated: the
 // engine's own primal feasibility tolerance.
@@ -192,11 +211,11 @@ func (ws *Workspace) solveLP2(ins *model.Instance, chains []dag.Chain) ([][]floa
 	}
 	x := make([][]float64, m)
 	for i := 0; i < m; i++ {
-		x[i] = sol.X[i*k : (i+1)*k]
+		x[i] = sol.X[lp2X(k, i, 0):lp2X(k, i+1, 0)]
 	}
 	dstar := make([]float64, k)
 	for pos := 0; pos < k; pos++ {
-		dstar[pos] = 1 + sol.X[m*k+pos]
+		dstar[pos] = 1 + sol.X[lp2E(pos)]
 	}
 	ws.lp2LastBasis = sol.Basis
 	return x, dstar, jobs, sol.Obj, nil
@@ -224,9 +243,10 @@ func (ws *Workspace) solveLP2(ins *model.Instance, chains []dag.Chain) ([][]floa
 // rows cold, which is still that round's optimum, so generation goes on
 // from it. Caps are chosen from the solution alone, so equal inputs give
 // equal row sets and SUU-T's Monte Carlo stays deterministic across
-// worker counts. After lp2MaxCapRounds re-solves with caps still violated,
-// the rows are reset to the core plus every cap in (machine, position)
-// order and solved cold — the full relaxation. Correctness never depends
+// worker counts. When caps are still violated after lp2MaxCapRounds
+// re-solves, or after the re-solves have spent lp2WorkBudget of the full
+// LP's estimated work, the rows are reset to the core plus every cap in
+// (machine, position) order and solved cold — the full relaxation. Correctness never depends
 // on a hint or on the generated row set: every returned solution
 // satisfies every cap to within lp2CapTol and is optimal for the full
 // relaxation.
@@ -243,7 +263,8 @@ func (ws *Workspace) lp2Solution(ins *model.Instance, chains []dag.Chain) (*lp.S
 	} else {
 		sol, err = ws.solver.Solve(p)
 	}
-	for round := 0; ; round++ {
+	var budget, spent int
+	for round, full := 0, false; ; round++ {
 		if err != nil {
 			return nil, nil, fmt.Errorf("rounding: LP2 solve: %w", err)
 		}
@@ -252,14 +273,19 @@ func (ws *Workspace) lp2Solution(ins *model.Instance, chains []dag.Chain) (*lp.S
 			// status is the engine's tolerances failing this instance.
 			return nil, nil, fmt.Errorf("rounding: LP2 status %v: %w", sol.Status, lp.ErrUnsolvable)
 		}
-		if round > lp2MaxCapRounds {
-			return sol, jobs, nil // the full relaxation's optimum
+		if full {
+			return sol, jobs, nil
+		}
+		if round == 0 {
+			// A warm-started core solve can take very few pivots; the
+			// core's row count floors the budget's pivot estimate.
+			budget = int(lp2WorkBudget * float64(max(sol.Iters, coreRows)*(coreRows+m*k)))
 		}
 		prevRows := len(p.Cons)
 		for i := 0; i < m; i++ {
 			for pos := 0; pos < k; pos++ {
-				if sol.X[i*k+pos] > 1+sol.X[m*k+pos]+lp2CapTol {
-					ws.appendCap(p, m, k, i, pos)
+				if sol.X[lp2X(k, i, pos)] > 1+sol.X[lp2E(pos)]+lp2CapTol {
+					ws.appendCap(p, k, i, pos)
 				}
 			}
 		}
@@ -268,12 +294,13 @@ func (ws *Workspace) lp2Solution(ins *model.Instance, chains []dag.Chain) (*lp.S
 			return sol, jobs, nil
 		}
 		ws.LP2Caps += added
-		if round == lp2MaxCapRounds {
+		if round == lp2MaxCapRounds || spent > budget {
 			ws.LP2FullSolves++
+			full = true
 			p.Cons, ws.terms = p.Cons[:coreRows], ws.terms[:coreTerms]
 			for i := 0; i < m; i++ {
 				for pos := 0; pos < k; pos++ {
-					ws.appendCap(p, m, k, i, pos)
+					ws.appendCap(p, k, i, pos)
 				}
 			}
 			sol, err = ws.solver.Solve(p)
@@ -287,6 +314,9 @@ func (ws *Workspace) lp2Solution(ins *model.Instance, chains []dag.Chain) (*lp.S
 			hint[r] = lp.NoHint
 		}
 		sol, err = ws.solver.SolveWarm(p, hint)
+		if err == nil {
+			spent += sol.Iters * len(p.Cons)
+		}
 	}
 }
 
@@ -306,18 +336,16 @@ func (ws *Workspace) lp2Compatible(ins *model.Instance) bool {
 func (ws *Workspace) buildLP2Hint(ins *model.Instance, k, nRows int) []int {
 	m := ins.M
 	prevK := ws.lp2K
-	prevTv := m*prevK + prevK
 	hint := resizeInts(ws.hint, nRows)
 	ws.hint = hint
 	for r := range hint {
 		hint[r] = lp.NoHint
 	}
-	tv := m*k + k
 	for i := 0; i < m; i++ {
 		e := ws.lp2Basis[prevK+i]
 		switch {
-		case e == prevTv:
-			hint[k+i] = tv
+		case e == lp2T:
+			hint[k+i] = lp2T
 		case e != lp.NoHint && e < 0:
 			if rr := -1 - e; rr >= prevK && rr < prevK+m {
 				hint[k+i] = -1 - (k + (rr - prevK))

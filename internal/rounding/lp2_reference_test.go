@@ -260,8 +260,8 @@ func TestLP2RowGenMatchesFull(t *testing.T) {
 // TestLP2RowGenCounters pins row generation's path on two instances by its
 // diagnostic counters, without timing: the chains family at the
 // chain-plan shape violates no cap, so one core solve finishes it, while
-// chains-skewed seed 1 keeps violating caps until the round limit hands
-// it to the full relaxation.
+// chains-skewed seed 1 keeps violating caps until the work budget hands
+// it to the full relaxation within the round limit.
 func TestLP2RowGenCounters(t *testing.T) {
 	run := func(family string, seed int64) *Workspace {
 		t.Helper()
@@ -285,8 +285,8 @@ func TestLP2RowGenCounters(t *testing.T) {
 			ws.LP2Caps, ws.LP2CapRounds, ws.LP2FullSolves, s.ColdSolves+s.WarmSolves)
 	}
 	ws = run("chains-skewed", 1)
-	if ws.LP2CapRounds != lp2MaxCapRounds || ws.LP2FullSolves != 1 || ws.LP2Caps == 0 {
-		t.Errorf("chains-skewed seed 1: %d caps, %d re-solves, %d full solves; want the fallback after %d re-solves",
+	if ws.LP2CapRounds > lp2MaxCapRounds || ws.LP2FullSolves != 1 || ws.LP2Caps == 0 {
+		t.Errorf("chains-skewed seed 1: %d caps, %d re-solves, %d full solves; want one fallback within %d re-solves",
 			ws.LP2Caps, ws.LP2CapRounds, ws.LP2FullSolves, lp2MaxCapRounds)
 	}
 }
