@@ -9,11 +9,11 @@ import (
 // TestFtranPathByRelaxation pins which FTRAN path the sparse simplex takes
 // on the paper's two relaxations, without depending on timing. On the full
 // (LP2) relaxation at the chain-plan shape (chains, m=16, n=64; 331 of 355
-// FTRANs when this test was written) — the problem row generation's round
-// limit falls back to — the near-identity basis must keep at least 85% of
-// FTRANs on the reach-ordered path; on (LP1), whose entering columns are
-// denser, at most 20% may take it (the running density starts at zero, so
-// a solve's first few FTRANs always do). A change that silently falls back
+// FTRANs when this test was written), built by the reference buildLP2Full
+// — the relaxation row generation falls back to — the near-identity basis
+// must keep at least 85% of FTRANs on the reach-ordered path; on (LP1),
+// whose entering columns are denser, at most 20% may take it (the running
+// density starts at zero, so a solve's first few FTRANs always do). A change that silently falls back
 // to O(rows) work per FTRAN on LP2, or sends LP1 down the heap-driven
 // path, fails here even when it stays bit-identical.
 func TestFtranPathByRelaxation(t *testing.T) {

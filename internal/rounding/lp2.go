@@ -50,11 +50,11 @@ func SolveLP2(ins *model.Instance, chains []dag.Chain) ([][]float64, []float64, 
 }
 
 // LP2 variable layout: t first, then e_pos (d_pos = 1 + e_pos), then
-// x_{i,pos}. The simplex breaks pricing and ratio-test ties by column
-// index, so the order steers its pivot path; with t and e ahead of the
-// m·k x columns the cold core solve at m=16/n=64 (chains, seeds 1–10)
-// takes 0.7 ms against 1.7 ms with t last, and 3 ms against 9.5 ms at
-// m=32/n=128.
+// x_{i,pos}. The simplex's candidate-list scan and its ratio-test ties
+// follow column order, so the order steers the pivot path: with t and e
+// ahead of the m·k x columns the cold core solve on chains (seeds 1–10)
+// takes 0.7 ms against 1.7 ms with t last at m=16/n=64, and 3 ms against
+// 9.5 ms at m=32/n=128.
 const lp2T = 0
 
 func lp2E(pos int) int { return 1 + pos }
@@ -165,9 +165,9 @@ func (ws *Workspace) appendCap(p *lp.Problem, k, i, pos int) {
 // an estimate of the full LP's: the core solve's pivots times the full
 // row count. The budget is what stops the costly case: a warm re-solve
 // whose dual repair runs out of iterations re-solves cold, and a run of
-// those costs more than the full LP. On chains-skewed seed 1 at
-// m=16/n=64 the round limit alone let generation run 12 such re-solves,
-// 0.20 s against 0.02 s for the full LP.
+// those costs more than the full LP: with the round limit alone,
+// chains-skewed seed 1 at m=16/n=64 ran 12 such re-solves, 0.20 s against
+// 0.02 s for the full LP.
 //
 // Measured against the full-row LP solved cold (GOMAXPROCS=1, 2-vCPU Xeon
 // VM; seeds 1–10 at m=8/n=40 and m=16/n=64, 1–4 at m=32/n=128), summed
@@ -246,10 +246,10 @@ func (ws *Workspace) solveLP2(ins *model.Instance, chains []dag.Chain) ([][]floa
 // worker counts. When caps are still violated after lp2MaxCapRounds
 // re-solves, or after the re-solves have spent lp2WorkBudget of the full
 // LP's estimated work, the rows are reset to the core plus every cap in
-// (machine, position) order and solved cold — the full relaxation. Correctness never depends
-// on a hint or on the generated row set: every returned solution
-// satisfies every cap to within lp2CapTol and is optimal for the full
-// relaxation.
+// (machine, position) order and solved cold — the full relaxation.
+// Correctness never depends on a hint or on the generated row set: every
+// returned solution satisfies every cap to within lp2CapTol and is optimal
+// for the full relaxation.
 func (ws *Workspace) lp2Solution(ins *model.Instance, chains []dag.Chain) (*lp.Solution, []int, error) {
 	p, jobs, err := ws.buildLP2(ins, chains)
 	if err != nil || len(jobs) == 0 {

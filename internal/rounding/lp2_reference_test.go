@@ -13,8 +13,9 @@ import (
 )
 
 // buildLP2Full is the full-row (LP2) builder solveLP2 used before row
-// generation, kept as the reference the generated solve is held to (and
-// the problem its round-limit fallback solves). It assembles the whole
+// generation, kept as the reference the generated solve is held to. Its
+// problem is the relaxation lp2Solution's fallback solves, with the
+// columns in the old x, e, t order. It assembles the whole
 // relaxation into the workspace's reusable Problem. Row order: cover rows
 // (one per job, in flattened chain order), machine rows, chain rows, then
 // the m·k x ≤ d cap rows. Variables: x_{i,pos} at i*k+pos, e_pos at
