@@ -65,7 +65,8 @@ type Workspace struct {
 	// LP2 row-generation diagnostics (see lp2Solution), cumulative over
 	// the workspace's life and readable between solves like lp.Solver's
 	// counters: cap rows generated, warm re-solves after adding caps, and
-	// solves handed to the full relaxation at the round limit.
+	// solves handed to the full relaxation by the round limit or the work
+	// budget.
 	LP2Caps, LP2CapRounds, LP2FullSolves int
 
 	// flow is the rounding scratch (group buffers, flow network, edge
