@@ -189,11 +189,12 @@ func TestMonteCarloAgreesAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSEMDeterministicWarmStarts: SEM's warm-started round re-solves must
-// keep trial i byte-identical across worker counts, across cache reuse
-// (the same policy value run twice), and against a fresh policy — the
-// warm-start chain is deterministic per trial and its cache keys include
-// the chain history, so no scheduling or cache state may leak into results.
+// TestSEMDeterministicWarmStarts: SEM's round re-solves must keep trial i
+// byte-identical across worker counts, across cache reuse (the same
+// policy value run twice), and against a fresh policy. Each round solves
+// LP1 cold and its cache entry is keyed by the survivor set alone, so no
+// worker, scheduling or cache state may leak into results. (The name
+// predates the cold solves; the round re-solves once warm-started.)
 func TestSEMDeterministicWarmStarts(t *testing.T) {
 	ins, err := suu.Generate(suu.Spec{Family: "uniform", M: 8, N: 24, Seed: 12})
 	if err != nil {
@@ -225,7 +226,7 @@ func TestSEMDeterministicWarmStarts(t *testing.T) {
 		}
 	}
 	// Standalone replay: Run(ins, fresh policy, seed+i) recomputes trial
-	// i's whole warm chain from an empty cache and must land on the same
+	// i's every round from an empty cache and must land on the same
 	// makespan.
 	for i := 0; i < 5; i++ {
 		ms, err := suu.Run(ins, suu.NewSEM(), seed+int64(i))

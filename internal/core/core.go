@@ -114,17 +114,17 @@ type SEM struct {
 	// (round 1 is identical in every trial), and across every other
 	// policy and computation sharing it.
 	Cache *rounding.Cache
-	// ColdLP disables the per-worker solver workspace and warm-started
-	// round re-solves, solving every round's LP1 cold on a fresh
-	// workspace. It exists as the baseline arm of the LP-engine
-	// benchmarks (t1-large-cold); leave it false everywhere else.
+	// ColdLP disables the per-worker solver workspace, solving every
+	// round's LP1 on a fresh workspace. Results are identical either way;
+	// it exists as the baseline arm of the LP-engine benchmarks
+	// (t1-large-cold); leave it false everywhere else.
 	ColdLP bool
 	// OnRound, if set, observes (round, jobs still uncompleted) at the
 	// start of every round, and (K+1, stragglers) when the endgame fires.
 	// It must be safe for concurrent use.
 	OnRound func(round, remaining int)
-	// pool hands each concurrent Run a workspace that carries one solver
-	// tableau plus the round-over-round warm-start chain.
+	// pool hands each concurrent Run a workspace whose solver and build
+	// arenas serve every round's cache-miss solve.
 	pool rounding.WorkspacePool
 }
 
@@ -157,13 +157,11 @@ func (s *SEM) Run(w *sim.World) error {
 // RunOnSubset completes the given eligible jobs; it is the long-job
 // subroutine of SUU-C and the per-layer engine of Layered.
 //
-// Rounds re-solve LP1 on the warm-start chain: round k+1's job set is a
-// subset of round k's with a doubled target, so the previous basis seeds
-// the solve (see rounding.Workspace). The chain is reset per call and the
-// cache key of each link includes the chain history, so every trial's
-// makespan stays a deterministic function of its seed — byte-identical
-// across worker counts — even though warm and cold solves may land on
-// different (equally optimal) vertices.
+// Each round solves LP1 cold on the round's survivors, so its rounding
+// is a pure function of (instance, survivors, target): the cache shares
+// it with every trial that reaches the same survivor set, and every
+// trial's makespan is a deterministic function of its seed,
+// byte-identical across worker counts.
 func (s *SEM) RunOnSubset(w *sim.World, jobs []int) error {
 	ins := w.Instance()
 	jobs = remainingOf(w, jobs)
@@ -174,7 +172,6 @@ func (s *SEM) RunOnSubset(w *sim.World, jobs []int) error {
 	if !s.ColdLP {
 		ws = s.pool.Get()
 		defer s.pool.Put(ws)
-		ws.Begin()
 	}
 	k := Rounds(ins.M, len(jobs))
 	var lastRound *rounding.LP1Result
@@ -195,7 +192,7 @@ func (s *SEM) RunOnSubset(w *sim.World, jobs []int) error {
 		var r *rounding.LP1Result
 		var err error
 		if ws != nil {
-			r, err = s.Cache.RoundLP1Chained(ws, ins, rem, target)
+			r, err = s.Cache.RoundLP1Ws(ws, ins, rem, target)
 		} else {
 			r, err = s.Cache.RoundLP1(ins, rem, target)
 		}

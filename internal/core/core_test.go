@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -128,6 +129,59 @@ func TestSEMEndgameMLessN(t *testing.T) {
 	}
 	if !w.AllDone() {
 		t.Fatal("jobs remain")
+	}
+}
+
+// TestSEMSurvivorRoundingsShared: SEM keys each round's rounding by the
+// survivor set alone, so after one trial a plain RoundLP1Ws lookup of any
+// of that trial's survivor sets is a hit on the entry SEM stored. The
+// sets come from replaying the trial's rounds on an identically seeded
+// world; each lookup must hit without adding an entry, and the cached
+// schedule must equal a fresh cold rounding of the same set.
+func TestSEMSurvivorRoundingsShared(t *testing.T) {
+	ins := uniformInstance(t, 5, 16, 64)
+	const seed = 2 // two jobs survive round 1
+	cache := rounding.NewCache()
+	runPolicy(t, &SEM{Cache: cache}, ins, seed)
+	entries := cache.Stats().Entries
+
+	w := sim.NewWorld(ins, rand.New(rand.NewSource(seed)))
+	ws := rounding.NewWorkspace()
+	k := Rounds(ins.M, ins.N)
+	survivorRounds := 0
+	for round := 1; round <= k; round++ {
+		rem := w.Remaining()
+		if len(rem) == 0 {
+			break
+		}
+		target := math.Pow(2, float64(round-2))
+		before := cache.Stats()
+		r, err := cache.RoundLP1Ws(ws, ins, rem, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after := cache.Stats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
+			t.Fatalf("round %d: survivor set of %d jobs at L=%g missed the cache SEM filled", round, len(rem), target)
+		}
+		cold, err := rounding.RoundLP1(ins, rem, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r.Schedule, cold.Schedule) {
+			t.Fatalf("round %d: cached schedule differs from a cold rounding of the same set", round)
+		}
+		if round > 1 {
+			survivorRounds++
+		}
+		if err := w.RunOblivious(r.Schedule); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if survivorRounds == 0 {
+		t.Fatal("the trial finished in round 1, so no survivor set was checked")
+	}
+	if n := cache.Stats().Entries; n != entries {
+		t.Fatalf("replay added entries: %d, SEM left %d", n, entries)
 	}
 }
 

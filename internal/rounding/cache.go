@@ -1,7 +1,6 @@
 package rounding
 
 import (
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -14,8 +13,8 @@ import (
 )
 
 // DefaultCacheBytes is the charged-byte budget NewCache applies. A cached
-// rounding of SEM's survivor sets costs about 0.9 KB (schedule runs,
-// basis, job list, bookkeeping; see entryCharge), so 1 MiB holds the
+// rounding of SEM's survivor sets costs well under 1 KB (schedule runs,
+// job list, bookkeeping; see entryCharge), so 1 MiB holds the
 // round-1 full-set solves and the recurring small survivor sets of a
 // working set of instances, while bounding what a long-lived planner
 // keeps resident.
@@ -26,10 +25,11 @@ const DefaultCacheBytes = 1 << 20
 // whole life. The first SUU-I-SEM round and the whole of SUU-I-OBL solve
 // LP1 on the full job set with a fixed target, which is identical across
 // trials and across requests on the same instance; caching it removes the
-// dominant LP cost from every trial after the first. Later (random)
-// subset solves are cached too, keyed by the warm-start chain that
-// produced them (see RoundLP1Chained), so repeated survivor patterns —
-// common at small n — are also free after first sight.
+// dominant LP cost from every trial after the first. SEM's later rounds
+// solve LP1 cold on each round's survivor set, so those roundings are
+// keyed by the job set alone and shared by every trial, and every
+// request, that reaches the same survivors at the same target: the
+// small survivor sets of SEM's late rounds recur constantly.
 //
 // Entries are keyed by the instance's content fingerprint, never its
 // pointer, so the cache pins no instance and two equal instances decoded
@@ -52,9 +52,8 @@ type cacheEntry struct {
 }
 
 // cacheKey is a fixed-size comparable key: instance content fingerprint,
-// target, job count, and a 64-bit hash of the job ids (plus warm-chain
-// history for chained entries). The entry's stored job list resolves
-// hash collisions.
+// target, job count, and a 64-bit hash of the job ids. The entry's stored
+// job list resolves hash collisions.
 type cacheKey struct {
 	fp sched.Fingerprint
 	l  float64
@@ -90,7 +89,7 @@ const entryOverhead = 240
 
 // entryCharge is the byte cost an entry is charged against the budget.
 func entryCharge(jobs []int, r *LP1Result) int64 {
-	n := entryOverhead + 8*cap(jobs) + 8*cap(r.Basis)
+	n := entryOverhead + 8*cap(jobs)
 	if o := r.Schedule; o != nil {
 		n += 24 * len(o.Runs)
 		for _, runs := range o.Runs {
@@ -131,12 +130,11 @@ func (c *Cache) RoundLP1(ins *model.Instance, jobs []int, L float64) (*LP1Result
 	return c.RoundLP1Ws(NewWorkspace(), ins, jobs, L)
 }
 
-// RoundLP1Ws is RoundLP1 computing misses on the caller's workspace (cold
-// solve — the workspace's warm chain is not consulted, so the cached value
-// is a pure function of the key).
+// RoundLP1Ws is RoundLP1 computing misses on the caller's workspace. The
+// solve is cold, so the cached value is a pure function of the key.
 func (c *Cache) RoundLP1Ws(ws *Workspace, ins *model.Instance, jobs []int, L float64) (*LP1Result, error) {
 	if c == nil {
-		return ws.roundLP1(ins, jobs, L, false)
+		return ws.roundLP1(ins, jobs, L)
 	}
 	key := cacheKey{fp: ws.fingerprint(ins), l: L, n: len(jobs), h: hashJobs(jobs)}
 	if r, ok := c.lookup(key, jobs); ok {
@@ -144,40 +142,11 @@ func (c *Cache) RoundLP1Ws(ws *Workspace, ins *model.Instance, jobs []int, L flo
 	}
 	// Compute outside the lock: concurrent misses may duplicate work but
 	// never block each other on a multi-second LP solve.
-	r, err := ws.roundLP1(ins, jobs, L, false)
+	r, err := ws.roundLP1(ins, jobs, L)
 	if err != nil {
 		return nil, err
 	}
 	c.store(key, jobs, r)
-	return r, nil
-}
-
-// RoundLP1Chained returns the rounding for (ins, jobs, L) solved as the
-// next link of ws's warm chain, and advances the chain past it. The cache
-// key includes the chain history, so an entry is only reused by trials
-// whose whole re-solve chain matches — which makes the cached value a
-// deterministic function of the key even though warm and cold solves may
-// legitimately land on different optimal vertices. A chain's first link
-// has no history and shares its entry with RoundLP1Ws callers.
-func (c *Cache) RoundLP1Chained(ws *Workspace, ins *model.Instance, jobs []int, L float64) (*LP1Result, error) {
-	if c == nil {
-		r, err := ws.roundLP1(ins, jobs, L, true)
-		if err != nil {
-			return nil, err
-		}
-		ws.advanceChain(ins, jobs, L, r.Basis)
-		return r, nil
-	}
-	key := cacheKey{fp: ws.fingerprint(ins), l: L, n: len(jobs), h: ws.chainKeyHash(jobs)}
-	r, ok := c.lookup(key, jobs)
-	if !ok {
-		var err error
-		if r, err = ws.roundLP1(ins, jobs, L, true); err != nil {
-			return nil, err
-		}
-		c.store(key, jobs, r)
-	}
-	ws.advanceChain(ins, jobs, L, r.Basis)
 	return r, nil
 }
 
@@ -225,12 +194,6 @@ func mix2(a, b uint64) uint64 {
 	return rng.Mix64(a ^ (b + rng.Golden))
 }
 
-// chainMix folds one solved chain link (its job-set hash and target) into
-// the running chain hash.
-func chainMix(chain, jobsHash uint64, l float64) uint64 {
-	return rng.Mix64(mix2(chain, jobsHash) ^ math.Float64bits(l))
-}
-
 // LP2Cache memoizes RoundLP2 results. SUU-C's LP2 assignment depends only
 // on the instance, its chain structure, and (under SUU-T's cross-block
 // warm chain) the sequence of blocks solved before it — never on a random
@@ -238,10 +201,10 @@ func chainMix(chain, jobsHash uint64, l float64) uint64 {
 // unbounded map rather than an lru.Cache: it holds one entry per SUU-T
 // decomposition block, and it lives for one computation (the service
 // builds a fresh one per estimate), so there is nothing to evict and no
-// budget to enforce. Keys mix in the workspace's
-// LP2 chain history the way LP1's chained keys do, which keeps every
-// trial's rounding a deterministic function of its block sequence even
-// though warm and cold solves may land on different optimal vertices.
+// budget to enforce. Keys mix in the workspace's LP2 chain history, which
+// keeps every trial's rounding a deterministic function of its block
+// sequence even though warm and cold solves may land on different optimal
+// vertices.
 // Safe for concurrent use.
 type LP2Cache struct {
 	mu sync.Mutex

@@ -47,7 +47,6 @@ func TestConcurrentCacheAndPool(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				jobs := subsets[(g+i)%len(subsets)]
 				ws := pool.Get()
-				ws.Begin()
 				r, err := cache.RoundLP1Ws(ws, ins, jobs, 0.5)
 				pool.Put(ws)
 				if err != nil {

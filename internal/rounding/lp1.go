@@ -8,11 +8,10 @@
 // slop greedily, counting how often that was needed (never, in practice).
 //
 // Solving happens on per-goroutine Workspaces (one reusable lp.Solver
-// plus problem-build arenas); SEM's shrinking-subset/doubling-
-// target round re-solves warm-start from the previous round's basis via
-// the workspace's chain (see Workspace). Cache memoizes rounded LP1
+// plus problem-build arenas). LP1 is always solved cold, so a rounding is
+// a pure function of (instance, jobs, L). Cache memoizes rounded LP1
 // results across every computation that shares it, keyed by instance
-// content and evicting by LRU under a byte budget.
+// content and job set and evicting by LRU under a byte budget.
 package rounding
 
 import (
@@ -42,10 +41,6 @@ type LP1Result struct {
 	TFrac float64
 	// Repairs counts greedy post-rounding fix-up steps (0 in practice).
 	Repairs int
-	// Basis is the LP solver's optimal basis for the relaxation (see
-	// lp.Solution.Basis), recorded so SEM can warm-start the next round's
-	// re-solve. Nil when produced by a path that does not record it.
-	Basis []int
 }
 
 // SolveLP1 solves the LP relaxation of LP1(jobs, L) from Section 3:
@@ -56,15 +51,14 @@ type LP1Result struct {
 // (pos indexes the jobs slice) and t*. One-shot callers only; hot paths
 // hold a Workspace (see workspace.go) so the solver state is reused.
 func SolveLP1(ins *model.Instance, jobs []int, L float64) ([][]float64, float64, error) {
-	x, tstar, _, err := NewWorkspace().solveLP1(ins, jobs, L, false)
-	return x, tstar, err
+	return NewWorkspace().solveLP1(ins, jobs, L)
 }
 
 // RoundLP1 implements Lemma 2: it solves the relaxation and rounds it to an
 // integral assignment giving every job in jobs log mass at least L (under
 // the capped ℓ′) with machine loads at most ⌈6t*⌉.
 func RoundLP1(ins *model.Instance, jobs []int, L float64) (*LP1Result, error) {
-	return NewWorkspace().roundLP1(ins, jobs, L, false)
+	return NewWorkspace().roundLP1(ins, jobs, L)
 }
 
 // RoundFractional applies the Lemma 2 rounding to an externally-computed
@@ -80,13 +74,13 @@ func RoundFractional(ins *model.Instance, jobs []int, L float64, xfrac [][]float
 	if err != nil {
 		return nil, err
 	}
-	return newLP1Result(asn, jobs, tfrac, repairs, nil), nil
+	return newLP1Result(asn, jobs, tfrac, repairs), nil
 }
 
 // newLP1Result serializes a rounded assignment whose nonzero columns are
 // all in jobs. asn may be scratch: the result keeps none of its storage.
-func newLP1Result(asn *sched.Assignment, jobs []int, tfrac float64, repairs int, basis []int) *LP1Result {
-	return &LP1Result{Schedule: asn.SerializeJobs(jobs), TFrac: tfrac, Repairs: repairs, Basis: basis}
+func newLP1Result(asn *sched.Assignment, jobs []int, tfrac float64, repairs int) *LP1Result {
+	return &LP1Result{Schedule: asn.SerializeJobs(jobs), TFrac: tfrac, Repairs: repairs}
 }
 
 // emptyLP1 is the rounding of an empty job set: an all-idle schedule.
@@ -111,7 +105,7 @@ func RoundFractionalNaive(ins *model.Instance, jobs []int, L float64, xfrac [][]
 	if err != nil {
 		return nil, err
 	}
-	return newLP1Result(asn, jobs, tfrac, repairs, nil), nil
+	return newLP1Result(asn, jobs, tfrac, repairs), nil
 }
 
 // repairMass greedily tops up any job whose capped mass fell below L,

@@ -86,10 +86,10 @@ func (ws *Workspace) buildLP2(ins *model.Instance, chains []dag.Chain) (*lp.Prob
 	if k == 0 {
 		return nil, nil, nil
 	}
-	if cap(ws.newPos) < ins.N {
-		ws.newPos = make([]int32, ins.N)
+	if cap(ws.lp2Pos) < ins.N {
+		ws.lp2Pos = make([]int32, ins.N)
 	}
-	posOf := ws.newPos[:ins.N]
+	posOf := ws.lp2Pos[:ins.N]
 	for j := range posOf {
 		posOf[j] = -1
 	}
@@ -307,8 +307,8 @@ func (ws *Workspace) lp2Solution(ins *model.Instance, chains []dag.Chain) (*lp.S
 			continue
 		}
 		ws.LP2CapRounds++
-		hint := resizeInts(ws.hint, len(p.Cons))
-		ws.hint = hint
+		hint := resizeInts(ws.lp2Hint, len(p.Cons))
+		ws.lp2Hint = hint
 		copy(hint, sol.Basis)
 		for r := prevRows; r < len(hint); r++ {
 			hint[r] = lp.NoHint
@@ -336,8 +336,8 @@ func (ws *Workspace) lp2Compatible(ins *model.Instance) bool {
 func (ws *Workspace) buildLP2Hint(ins *model.Instance, k, nRows int) []int {
 	m := ins.M
 	prevK := ws.lp2K
-	hint := resizeInts(ws.hint, nRows)
-	ws.hint = hint
+	hint := resizeInts(ws.lp2Hint, nRows)
+	ws.lp2Hint = hint
 	for r := range hint {
 		hint[r] = lp.NoHint
 	}

@@ -37,10 +37,10 @@ func (ws *Workspace) buildLP2Full(ins *model.Instance, chains []dag.Chain) (*lp.
 	if k == 0 {
 		return nil, nil, nil
 	}
-	if cap(ws.newPos) < ins.N {
-		ws.newPos = make([]int32, ins.N)
+	if cap(ws.lp2Pos) < ins.N {
+		ws.lp2Pos = make([]int32, ins.N)
 	}
-	posOf := ws.newPos[:ins.N]
+	posOf := ws.lp2Pos[:ins.N]
 	for j := range posOf {
 		posOf[j] = -1
 	}

@@ -32,8 +32,8 @@ const simplexGoldenPath = "testdata/simplex_trace.json"
 //   - cold LP1 at m=16, n=64, L=1/2 on five independent-job families;
 //   - cold LP2 at m=16, n=64 (the chain-plan shape) on three chain families,
 //     each the final solve of row generation (lp2Solution);
-//   - one SEM re-solve chain (full set, then survivor subsets at doubling
-//     targets), warm-started through SolveWarm;
+//   - one SEM re-solve sequence (full set, then survivor subsets at
+//     doubling targets), each solved cold on one workspace as SEM does;
 //   - one SUU-T forest block sequence, each block's (LP2) warm-started from
 //     the previous block's machine rows, then row-generated.
 func simplexCorpus(t *testing.T) []simplexTrace {
@@ -96,25 +96,15 @@ func simplexCorpus(t *testing.T) []simplexTrace {
 	{
 		ins := gen("uniform", 16, 64, 12)
 		ws := NewWorkspace()
-		ws.Begin()
 		l := 0.5
 		for link, jobs := range chainSets(ins, 4) {
 			p, err := ws.buildLP1(ins, jobs, l)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var sol *lp.Solution
-			if ws.chainCompatible(ins, jobs, l) {
-				sol, err = ws.solver.SolveWarm(p, ws.buildHint(ins, jobs))
-			} else {
-				sol, err = ws.solver.Solve(p)
-			}
-			sol = record(fmt.Sprintf("sem-warm/link%d", link), sol, err)
-			ws.advanceChain(ins, jobs, l, sol.Basis)
+			sol, err := ws.solver.Solve(p)
+			record(fmt.Sprintf("sem/link%d", link), sol, err)
 			l *= 2
-		}
-		if ws.solver.WarmSolves == 0 {
-			t.Fatal("SEM chain never completed a warm solve")
 		}
 	}
 

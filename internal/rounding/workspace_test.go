@@ -3,128 +3,10 @@ package rounding
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
-	"repro/internal/model"
 	"repro/internal/workload"
 )
-
-// shrinkChain drives a workspace through SEM's exact access pattern —
-// solve on a job set, drop a random subset, double the target — and at
-// every link compares the (possibly warm-started) objective against a cold
-// solve of the identical problem.
-func shrinkChain(t *testing.T, ins *model.Instance, rng *rand.Rand, rounds int) (warm, total int) {
-	t.Helper()
-	ws := NewWorkspace()
-	ws.Begin()
-	jobs := make([]int, ins.N)
-	for j := range jobs {
-		jobs[j] = j
-	}
-	L := 0.5
-	for round := 1; round <= rounds && len(jobs) > 0; round++ {
-		warmBefore := ws.Solver().WarmSolves
-		_, tstar, basis, err := ws.solveLP1(ins, jobs, L, true)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if ws.Solver().WarmSolves > warmBefore {
-			warm++
-		}
-		total++
-		_, tcold, err := SolveLP1(ins, jobs, L)
-		if err != nil {
-			t.Fatalf("round %d cold: %v", round, err)
-		}
-		if diff := math.Abs(tstar - tcold); diff > 1e-6*(1+math.Abs(tcold)) {
-			t.Fatalf("round %d (k=%d, L=%g): warm t* = %.9g, cold t* = %.9g (diff %g)",
-				round, len(jobs), L, tstar, tcold, diff)
-		}
-		ws.advanceChain(ins, jobs, L, basis)
-		// Survivors: each job kept with probability 0.35 (SEM's doubly
-		// exponential survivor decay is even steeper; this keeps chains
-		// alive a few rounds longer to exercise more warm links).
-		var surv []int
-		for _, j := range jobs {
-			if rng.Float64() < 0.35 {
-				surv = append(surv, j)
-			}
-		}
-		jobs = surv
-		L *= 2
-	}
-	return warm, total
-}
-
-// TestWarmMatchesColdAcrossFamilies is the LP1 warm-start property test:
-// across shrinking-subset/doubling-target chains on every Table-1 family —
-// including the degenerate specialist family, whose exactly-tied rates
-// make every warm install land on a massively degenerate face — the
-// warm-started solve's t* must match the cold solve's to 1e-6, and the
-// warm path must actually engage, or the test proves nothing.
-func TestWarmMatchesColdAcrossFamilies(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	warm, total := 0, 0
-	for _, family := range []string{"uniform", "skill", "specialist", "specialist-degen", "volunteer"} {
-		for rep := 0; rep < 3; rep++ {
-			ins, err := workload.Generate(workload.Spec{
-				Family: family, M: 8, N: 24, Seed: int64(100*rep + 7), Groups: 4,
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", family, err)
-			}
-			w, n := shrinkChain(t, ins, rng, 5)
-			warm += w
-			total += n
-		}
-	}
-	if warm == 0 {
-		t.Fatalf("warm path never engaged across %d chain links", total)
-	}
-	t.Logf("warm solves on %d of %d chain links", warm, total)
-}
-
-// TestChainedRoundingDeterministic: RoundLP1Chained must give identical
-// schedules for identical chains, with or without a cache in between —
-// the property Monte Carlo determinism across worker counts rests on.
-func TestChainedRoundingDeterministic(t *testing.T) {
-	ins, err := workload.Generate(workload.Spec{Family: "uniform", M: 6, N: 18, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain := [][]int{
-		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17},
-		{1, 4, 7, 11, 16},
-		{4, 11},
-	}
-	run := func(c *Cache) []*LP1Result {
-		ws := NewWorkspace()
-		ws.Begin()
-		var out []*LP1Result
-		L := 0.5
-		for _, jobs := range chain {
-			r, err := c.RoundLP1Chained(ws, ins, jobs, L)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, r)
-			L *= 2
-		}
-		return out
-	}
-	base := run(nil)
-	cache := NewCache()
-	first := run(cache)  // populates the cache
-	second := run(cache) // replays from the cache
-	for li := range chain {
-		for _, other := range [][]*LP1Result{first, second} {
-			if a, b := base[li].Schedule, other[li].Schedule; !reflect.DeepEqual(a, b) {
-				t.Fatalf("link %d: schedule diverges: %+v vs %+v", li, a, b)
-			}
-		}
-	}
-}
 
 // TestCacheBounded hammers the cache with random per-trial job subsets —
 // SEM's insertion pattern over a long Monte Carlo run — and asserts the
@@ -293,40 +175,5 @@ func TestHashJobsDistinct(t *testing.T) {
 			jobs[i] = rng.Intn(256)
 		}
 		record(jobs)
-	}
-}
-
-// TestCacheSharesBasisWithPlainEntries: a chain's first link must share
-// its cache entry with plain RoundLP1Ws callers of the same subproblem
-// (it is the same cold, deterministic solve), and every cached entry must
-// carry a basis so chains can always be seeded from hits.
-func TestCacheSharesBasisWithPlainEntries(t *testing.T) {
-	ins, err := workload.Generate(workload.Spec{Family: "uniform", M: 4, N: 10, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := make([]int, ins.N)
-	for j := range full {
-		full[j] = j
-	}
-	c := NewCache()
-	plain, err := c.RoundLP1Ws(NewWorkspace(), ins, full, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Basis) == 0 {
-		t.Fatal("plain cache compute recorded no basis")
-	}
-	ws := NewWorkspace()
-	ws.Begin()
-	chained, err := c.RoundLP1Chained(ws, ins, full, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chained != plain {
-		t.Fatal("chain's first link did not reuse the plain cache entry")
-	}
-	if n := c.Stats().Entries; n != 1 {
-		t.Fatalf("expected 1 shared entry, cache holds %d", n)
 	}
 }

@@ -54,7 +54,7 @@ func BenchmarkLP1SolveSparse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := ws.solveLP1(ins, jobs, 0.5, false); err != nil {
+		if _, _, err := ws.solveLP1(ins, jobs, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func BenchmarkRoundLP1(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ws.roundLP1(ins, jobs, 0.5, false); err != nil {
+		if _, err := ws.roundLP1(ins, jobs, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,9 +87,8 @@ func BenchmarkRoundLP1(b *testing.B) {
 
 // BenchmarkLP1Solve pins the LP engine itself on the large Table-1 cells:
 // one iteration solves a whole SEM re-solve chain (full set at L=1/2, then
-// shrinking survivor subsets at doubling targets). The cold arm solves
-// every link cold on a fresh workspace (SolveLP1); the warm arm reuses one
-// workspace and warm-starts every link after the first.
+// shrinking survivor subsets at doubling targets), each link cold on a
+// fresh workspace (SolveLP1), as SEM's rounds solve them.
 func BenchmarkLP1Solve(b *testing.B) {
 	for _, cell := range workload.Table1LargeCells() {
 		cell.Seed = 9
@@ -106,22 +105,6 @@ func BenchmarkLP1Solve(b *testing.B) {
 					if _, _, err := SolveLP1(ins, jobs, l); err != nil {
 						b.Fatal(err)
 					}
-					l *= 2
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("warm/n=%d/m=%d", cell.N, cell.M), func(b *testing.B) {
-			b.ReportAllocs()
-			ws := NewWorkspace()
-			for i := 0; i < b.N; i++ {
-				ws.Begin()
-				l := 0.5
-				for _, jobs := range sets {
-					_, _, basis, err := ws.solveLP1(ins, jobs, l, true)
-					if err != nil {
-						b.Fatal(err)
-					}
-					ws.advanceChain(ins, jobs, l, basis)
 					l *= 2
 				}
 			}

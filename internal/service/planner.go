@@ -923,7 +923,6 @@ func (p *Planner) computePlan(ins *model.Instance, fp sched.Fingerprint, target 
 		for j := range jobs {
 			jobs[j] = j
 		}
-		ws.Begin()
 		// The nil cache runs the rounding directly on ws; response-level
 		// caching is the planner's sharded LRU, so a second memo layer
 		// here would only hold duplicates.
