@@ -62,32 +62,61 @@ func (w *World) RunOblivious(o *sched.Oblivious) error {
 
 // collectIntervals gathers, per uncompleted job, the (start, end, rate)
 // contributions of every machine run, checking eligibility. Results land
-// in w.jobIvs (per-job buffers reused across passes); w.ivJobs lists the
-// jobs that received intervals, in machine-major discovery order.
+// in w.jobIvs, whose per-job slices are windows of one flat arena reused
+// across passes, each job's intervals in machine-major order; w.ivJobs
+// lists the jobs that received intervals, in machine-major discovery
+// order. A first pass counts each job's intervals, a second fills them.
 func (w *World) collectIntervals(o *sched.Oblivious) error {
 	if w.jobIvs == nil {
 		w.jobIvs = make([][]interval, w.ins.N)
+		w.ivCount = make([]int32, w.ins.N)
 	}
 	for _, j := range w.ivJobs {
-		w.jobIvs[j] = w.jobIvs[j][:0]
+		w.jobIvs[j] = nil
+		w.ivCount[j] = 0
 	}
 	w.ivJobs = w.ivJobs[:0]
+	total := 0
 	for i, runs := range o.Runs {
-		var t int64
 		for _, r := range runs {
 			if err := w.checkRunnable(r.Job); err != nil {
 				return err
 			}
-			if !w.done[r.Job] && w.ins.L[i][r.Job] > 0 && r.Steps > 0 {
-				if len(w.jobIvs[r.Job]) == 0 {
+			if w.contributes(i, r) {
+				if w.ivCount[r.Job] == 0 {
 					w.ivJobs = append(w.ivJobs, r.Job)
 				}
+				w.ivCount[r.Job]++
+				total++
+			}
+		}
+	}
+	if cap(w.ivArena) < total {
+		w.ivArena = make([]interval, total)
+	}
+	off := 0
+	for _, j := range w.ivJobs {
+		end := off + int(w.ivCount[j])
+		w.jobIvs[j] = w.ivArena[off:off:end]
+		off = end
+	}
+	for i, runs := range o.Runs {
+		var t int64
+		for _, r := range runs {
+			if w.contributes(i, r) {
 				w.jobIvs[r.Job] = append(w.jobIvs[r.Job], interval{t, t + r.Steps, w.ins.L[i][r.Job]})
 			}
 			t += r.Steps
 		}
 	}
 	return nil
+}
+
+// contributes reports whether run r on machine i gives its job mass this
+// pass: the job is uncompleted, the machine has a positive rate on it,
+// and the run has steps.
+func (w *World) contributes(i int, r sched.Run) bool {
+	return !w.done[r.Job] && w.ins.L[i][r.Job] > 0 && r.Steps > 0
 }
 
 // crossingTime finds the first integer step at which the total mass of the

@@ -90,11 +90,14 @@ type World struct {
 	survival   []float64
 	completed  []int
 
-	// Oblivious fast-forward scratch: per-job interval buffers plus the
-	// list of jobs holding intervals this pass, and the event-sweep buffer.
-	jobIvs [][]interval
-	ivJobs []int
-	events []rateEvent
+	// Oblivious fast-forward scratch: per-job interval windows of one
+	// flat arena and their counts, the list of jobs holding intervals
+	// this pass, and the event-sweep buffer.
+	jobIvs  [][]interval
+	ivCount []int32
+	ivArena []interval
+	ivJobs  []int
+	events  []rateEvent
 
 	soloAssign []int // SoloAll's expanded-step assignment buffer
 
