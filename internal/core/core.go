@@ -41,9 +41,15 @@ type SubsetRunner interface {
 	RunOnSubset(w *sim.World, jobs []int) error
 }
 
-// remainingOf filters jobs down to those not yet completed.
+// remainingOf returns a new slice of the jobs not yet completed.
 func remainingOf(w *sim.World, jobs []int) []int {
-	var out []int
+	return keepRemaining(w, make([]int, 0, len(jobs)), jobs)
+}
+
+// keepRemaining appends the jobs not yet completed to out and returns it.
+// out may be jobs[:0]: the filter then runs in place, since it never
+// writes ahead of the job it reads.
+func keepRemaining(w *sim.World, out, jobs []int) []int {
 	for _, j := range jobs {
 		if !w.Done(j) {
 			out = append(out, j)
@@ -151,7 +157,7 @@ func (s *SEM) Run(w *sim.World) error {
 	if err := requireIndependent(w, s.Name()); err != nil {
 		return err
 	}
-	return s.RunOnSubset(w, w.Remaining())
+	return s.run(w, w.Remaining())
 }
 
 // RunOnSubset completes the given eligible jobs; it is the long-job
@@ -163,9 +169,16 @@ func (s *SEM) Run(w *sim.World) error {
 // trial's makespan is a deterministic function of its seed,
 // byte-identical across worker counts.
 func (s *SEM) RunOnSubset(w *sim.World, jobs []int) error {
+	return s.run(w, remainingOf(w, jobs))
+}
+
+// run completes the uncompleted jobs rem, which it owns: rem is the one
+// survivor buffer of the call, filtered in place each round. The cache,
+// the schedule and the flow scratch all copy the job lists they keep.
+func (s *SEM) run(w *sim.World, rem []int) error {
 	ins := w.Instance()
-	jobs = remainingOf(w, jobs)
-	if len(jobs) == 0 {
+	n := len(rem)
+	if n == 0 {
 		return nil
 	}
 	var ws *rounding.Workspace
@@ -173,10 +186,10 @@ func (s *SEM) RunOnSubset(w *sim.World, jobs []int) error {
 		ws = s.pool.Get()
 		defer s.pool.Put(ws)
 	}
-	k := Rounds(ins.M, len(jobs))
+	k := Rounds(ins.M, n)
 	var lastRound *rounding.LP1Result
 	for round := 1; round <= k; round++ {
-		rem := remainingOf(w, jobs)
+		rem = keepRemaining(w, rem[:0], rem)
 		if len(rem) == 0 {
 			// Completed inside the round budget; still report the endgame
 			// observation so OnRound sees every execution exactly once.
@@ -204,7 +217,7 @@ func (s *SEM) RunOnSubset(w *sim.World, jobs []int) error {
 			return err
 		}
 	}
-	rem := remainingOf(w, jobs)
+	rem = keepRemaining(w, rem[:0], rem)
 	if s.OnRound != nil {
 		s.OnRound(k+1, len(rem))
 	}
@@ -213,7 +226,7 @@ func (s *SEM) RunOnSubset(w *sim.World, jobs []int) error {
 	}
 	// Endgame (Theorem 4): by now every straggler's threshold is huge
 	// (probability ≤ 1/min{m,n} that any exists).
-	if len(jobs) <= ins.M {
+	if n <= ins.M {
 		// n ≤ m: run stragglers one at a time on all machines.
 		for _, j := range rem {
 			if _, err := w.SoloAll(j); err != nil {
