@@ -164,7 +164,10 @@ func TestLP1CacheMetricsExposed(t *testing.T) {
 // BenchmarkEstimateCatalog is the service-level view of the shared LP1
 // memo: SEM estimates of 200 trials, a fresh seed per op (so the response
 // cache never answers), round-robin over an 8-instance n=64/m=16 uniform
-// catalog, through Planner.Estimate.
+// catalog, through Planner.Estimate. Op i seeds its trials from i·200, the
+// trial count, so no two ops share a trial seed: consecutive seeds would
+// make op i+8 replay 192 of op i's trials and turn nearly every survivor
+// solve into a cache hit, which a client sending fresh seeds never sees.
 func BenchmarkEstimateCatalog(b *testing.B) {
 	catalog := make([]*model.Instance, 8)
 	for k := range catalog {
@@ -176,7 +179,7 @@ func BenchmarkEstimateCatalog(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.Estimate(context.Background(), &EstimateRequest{
-			Instance: catalog[i%len(catalog)], Policy: "sem", Trials: 200, Seed: int64(i),
+			Instance: catalog[i%len(catalog)], Policy: "sem", Trials: 200, Seed: int64(i) * 200,
 		}, nil); err != nil {
 			b.Fatal(err)
 		}
