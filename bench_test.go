@@ -71,15 +71,15 @@ func BenchmarkAblRounding(b *testing.B) { runExperiment(b, "a-rounding") }
 func BenchmarkAblEquivalence(b *testing.B) { runExperiment(b, "a-equiv") }
 
 // BenchmarkTable1IndependentLarge regenerates the large-instance cells
-// (n=64/m=16, n=128/m=32) on the workspace + warm-start LP engine;
+// (n=64/m=16, n=128/m=32) on pooled workspaces and the shared LP1 cache;
 // BENCH_pr2.json records the full-scale run of this and its cold-engine
 // baseline arm (t1-large-cold).
 func BenchmarkTable1IndependentLarge(b *testing.B) { runExperiment(b, "t1-large") }
 
 // BenchmarkSEMTrial measures one full SEM Monte Carlo trial on the
 // n=64/m=16 large cell: after the first iteration warms the round-1 cache,
-// steady-state cost is the warm-started round re-solves, rounding, and
-// fast-forward execution — the per-trial hot path of every large estimate.
+// steady-state cost is the survivor-set re-solves the cache misses,
+// rounding, and fast-forward execution — the per-trial hot path of every large estimate.
 func BenchmarkSEMTrial(b *testing.B) {
 	ins, err := suu.Generate(suu.Spec{Family: "uniform", M: 16, N: 64, Seed: 9})
 	if err != nil {

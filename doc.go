@@ -50,9 +50,11 @@
 // revised-simplex solver — compressed-column constraint storage, an
 // LU-factorized basis with product-form eta updates, and candidate-list
 // partial pricing (internal/lp, the only engine; a dense tableau survives
-// in its tests as the differential reference) — plus the warm-start chains
-// that seed SEM's round k+1 LP from round k's optimal basis and SUU-T's
-// decomposition block k+1 from block k's machine rows. The rounding path
+// in its tests as the differential reference) — plus the warm-start chain
+// that seeds SUU-T's decomposition block k+1 from block k's machine rows.
+// SEM's round re-solves run cold, so each survivor set's rounding is a
+// pure function of (instance, survivors, target) and rounding.Cache
+// shares it across trials and requests. The rounding path
 // (roundByFlow's group sums, flow network, and edge lists) runs on
 // workspace scratch too, so steady-state trials allocate only their
 // escaping results. The sparse engine turned

@@ -12,13 +12,13 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "t1-large",
-		What:  "large independent cells (n=64/m=16, n=128/m=32): SEM on the workspace + warm-start LP engine; ratio to LP lower bound",
+		What:  "large independent cells (n=64/m=16, n=128/m=32): SEM on pooled workspaces + the shared LP1 cache; ratio to LP lower bound",
 		Heavy: true,
 		Run:   func(cfg Config) (*Table, error) { return tableLarge(cfg, false) },
 	})
 	register(Experiment{
 		ID:    "t1-large-cold",
-		What:  "baseline arm of t1-large: identical cells and trials on the cold LP stack — fresh solve every time, no warm starts, no workspaces, no cross-trial memoization",
+		What:  "baseline arm of t1-large: identical cells and trials on the cold LP stack — fresh solve every time, no workspaces, no cross-trial memoization",
 		Heavy: true,
 		Run:   func(cfg Config) (*Table, error) { return tableLarge(cfg, true) },
 	})
@@ -31,12 +31,12 @@ func init() {
 }
 
 // tableXLarge runs SEM over the n=256/m=64 cells on the full sparse LP
-// stack (workspaces, warm chains, memoization). There is no cold-dense
+// stack (workspaces, memoization). There is no cold-dense
 // baseline arm at this scale: the dense tableau for the full-set LP1 is
 // 320 rows × ~17k columns and a cold solve takes minutes, which is exactly
 // the wall the sparse engine removes. The degenerate specialist cell's
 // exactly-tied rates produce the worst-case degenerate bases — the stress
-// test for candidate pricing, warm starts, and LU refactorization.
+// test for candidate pricing and LU refactorization.
 func tableXLarge(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "t1-xlarge",
@@ -71,21 +71,20 @@ func tableXLarge(cfg Config) (*Table, error) {
 		})
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("%d trials per cell; sparse revised simplex LP engine (LU basis, candidate pricing, warm chains)", trials))
+		fmt.Sprintf("%d trials per cell; sparse revised simplex LP engine (LU basis, candidate pricing)", trials))
 	return t, nil
 }
 
 // tableLarge runs SEM over the large Table-1 cells. The cold arm strips
 // the structure-aware layers off the LP engine back to what a naive
 // pipeline does: every LP1 is solved cold on a fresh workspace, every
-// trial re-solves its round 1 from scratch (Cache nil), and nothing is
-// warm-started. Comparing the arms' measured records (suubench -json)
-// prices those layers — workspace reuse + memoized round 1 + warm-started
-// round re-solves — on the cells where the LP dominates; both arms run
-// the same (sparse revised simplex) solver, so the engines themselves are
-// priced separately by BenchmarkLP1Solve's differential arms.
+// trial re-solves every round from scratch (Cache nil). Comparing the
+// arms' measured records (suubench -json) prices those layers — workspace
+// reuse and memoized roundings — on the cells where the LP dominates; both
+// arms run the same (sparse revised simplex) solver and reach the same
+// makespans.
 func tableLarge(cfg Config, cold bool) (*Table, error) {
-	engine := "workspace+warm"
+	engine := "workspace+cache"
 	if cold {
 		engine = "cold"
 	}

@@ -28,8 +28,8 @@ const DefaultCacheBytes = 1 << 20
 // dominant LP cost from every trial after the first. SEM's later rounds
 // solve LP1 cold on each round's survivor set, so those roundings are
 // keyed by the job set alone and shared by every trial, and every
-// request, that reaches the same survivors at the same target: the
-// small survivor sets of SEM's late rounds recur constantly.
+// request, that reaches the same survivors at the same target; the small
+// survivor sets of SEM's late rounds recur across trials.
 //
 // Entries are keyed by the instance's content fingerprint, never its
 // pointer, so the cache pins no instance and two equal instances decoded

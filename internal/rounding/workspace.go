@@ -78,9 +78,9 @@ func (ws *Workspace) fingerprint(ins *model.Instance) sched.Fingerprint {
 	return ws.fp
 }
 
-// Begin is a no-op: LP1 solves carry no state from one to the next, so
-// an independent solve sequence needs no reset. It stays for callers
-// written against the former LP1 warm chain.
+// Begin is a no-op. LP1 solves carry no state from one to the next, so an
+// independent solve sequence needs no reset; the method remains for
+// existing callers.
 func (ws *Workspace) Begin() {}
 
 // buildLP1 assembles the LP1(jobs, L) relaxation into the workspace's

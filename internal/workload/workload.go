@@ -313,7 +313,7 @@ func MapReduce(rng *rand.Rand, m, nMap, nReduce int) (*model.Instance, error) {
 // Table1LargeCells returns the large-instance Table-1 cells — n=64/m=16
 // and n=128/m=32 — where the LP layer dominates the profile (the full-set
 // LP1 has m·n+1 ≈ 1k–4k variables). They extend the paper's n≤16-scale
-// evaluation to the sizes the reusable-workspace/warm-start LP engine is
+// evaluation to the sizes the reusable-workspace sparse LP engine is
 // built for; the t1-large experiments and the suubench -scale-large flag
 // run them. Callers fill in Seed.
 func Table1LargeCells() []Spec {
