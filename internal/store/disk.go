@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/framelog"
 )
 
 // FsyncPolicy says when the disk store makes appended records durable.
@@ -63,7 +65,7 @@ type DiskConfig struct {
 }
 
 // Disk is the durable backend: an append-only segment log under one
-// directory, with the framing and quarantine rules in record.go. Open
+// directory, framed by internal/framelog (layout in record.go). Open
 // rebuilds the full key index by scanning every segment, truncating torn
 // tails and counting (never dying on) corrupt records, so a store that
 // was killed mid-write always reopens to exactly its committed prefix.
@@ -208,29 +210,23 @@ func (d *Disk) scanSegment(id int) error {
 		d.corruptDropped.Add(1)
 		return os.Rename(path, path+".bad")
 	}
-	off := int64(len(segMagic))
-	for off < int64(len(buf)) {
-		k, _, n, perr := parseRecord(buf[off:])
-		switch perr {
-		case nil:
-			if _, dup := d.index[k]; !dup {
-				d.index[k] = recLoc{seg: id, off: off, n: n}
-				d.live += n
-			}
-			off += n
-		case errBadCRC:
-			d.corruptDropped.Add(1)
-			off += n
-		default: // errTorn, errBadLen: framing ends here
-			d.corruptDropped.Add(1)
-			if terr := f.Truncate(off); terr != nil {
-				f.Close()
-				return terr
-			}
-			buf = buf[:off]
+	end, skipped, serr := framelog.Scan(buf[len(segMagic):], keyHeadLen, maxPayload, func(off int, head, body []byte) {
+		k := headKey(head)
+		if _, dup := d.index[k]; !dup {
+			n := int64(framelog.Size(keyHeadLen, len(body)))
+			d.index[k] = recLoc{seg: id, off: int64(len(segMagic) + off), n: n}
+			d.live += n
+		}
+	})
+	d.corruptDropped.Add(uint64(skipped))
+	seg.size = int64(len(segMagic) + end)
+	if serr != nil { // a torn tail or lost framing: cut it off
+		d.corruptDropped.Add(1)
+		if err := f.Truncate(seg.size); err != nil {
+			f.Close()
+			return err
 		}
 	}
-	seg.size = int64(len(buf))
 	d.segs[id] = seg
 	d.total += seg.size
 	return nil
@@ -306,11 +302,7 @@ func (d *Disk) Get(_ context.Context, k Key) ([]byte, string, error) {
 	}
 	var payload []byte
 	if err == nil {
-		var gotK Key
-		gotK, payload, _, err = parseRecord(buf)
-		if err == nil && gotK != k {
-			err = errBadCRC
-		}
+		payload, err = parseRecord(buf, k)
 	}
 	d.mu.RUnlock()
 	if err != nil {
@@ -360,7 +352,7 @@ func (d *Disk) Put(_ context.Context, k Key, v []byte) error {
 		}
 	}
 	seg := d.segs[d.activeID]
-	rec := appendRecord(nil, k, v)
+	rec := frameRecord(k, v)
 	wn := len(rec)
 	var werr error
 	if d.cfg.WriteFault != nil {
@@ -370,23 +362,27 @@ func (d *Disk) Put(_ context.Context, k Key, v []byte) error {
 		}
 	}
 	n, err := seg.f.WriteAt(rec[:wn], seg.size)
-	seg.size += int64(n)
-	d.total += int64(n)
 	if werr == nil {
 		werr = err
 	}
-	if werr != nil || n < len(rec) {
-		// A torn append: the partial frame stays on disk (exactly what a
-		// crash leaves) but is never indexed, so this process keeps
-		// serving the committed prefix and the next Open truncates it.
+	if werr == nil && n < len(rec) {
+		werr = fmt.Errorf("store: short write (%d of %d bytes)", n, len(rec))
+	}
+	if werr != nil {
+		// A failed append is never indexed and does not advance the
+		// segment: its partial frame stays on disk as a torn tail (exactly
+		// what a crash leaves, and the next Open truncates it) until the
+		// next append overwrites it in place. Appending after it instead
+		// would bury it mid-segment, where a reopen reads its length
+		// across every later record.
 		d.putErrors.Add(1)
-		if werr == nil {
-			werr = fmt.Errorf("store: short write (%d of %d bytes)", n, len(rec))
-		}
 		return werr
 	}
-	d.index[k] = recLoc{seg: seg.id, off: seg.size - int64(len(rec)), n: int64(len(rec))}
-	d.live += int64(len(rec))
+	rn := int64(len(rec))
+	d.index[k] = recLoc{seg: seg.id, off: seg.size, n: rn}
+	seg.size += rn
+	d.total += rn
+	d.live += rn
 	d.puts.Add(1)
 	switch d.cfg.Fsync {
 	case FsyncAlways:
@@ -436,8 +432,8 @@ func (d *Disk) Compact() error {
 }
 
 func (d *Disk) compactLocked() error {
-	// Stage 1: read back every live record, verifying checksums (rot
-	// found here is quarantined like any read-time failure).
+	// Stage 1: read back every live record, verifying it as Get does
+	// (rot found here is quarantined like any read-time failure).
 	type liveRec struct {
 		k   Key
 		rec []byte
@@ -449,7 +445,7 @@ func (d *Disk) compactLocked() error {
 			d.corruptDropped.Add(1)
 			continue
 		}
-		if _, err := verifyRecord(buf); err != nil {
+		if _, err := parseRecord(buf, k); err != nil {
 			d.corruptDropped.Add(1)
 			continue
 		}

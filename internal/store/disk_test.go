@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/framelog"
 	"repro/internal/rng"
 )
 
@@ -105,7 +106,7 @@ func TestDiskTornWriteEveryOffset(t *testing.T) {
 	// which the fault hook never sees).
 	cum := make([]int64, n+1)
 	for i := 0; i < n; i++ {
-		cum[i+1] = cum[i] + recHdrSize + int64(len(tval(i)))
+		cum[i+1] = cum[i] + recordBytes(i)
 	}
 	total := cum[n]
 	root := t.TempDir()
@@ -267,7 +268,7 @@ func TestDiskCorruptRecordOnDisk(t *testing.T) {
 			victimOff = off
 		}
 		mustPut(t, d, i)
-		off += recHdrSize + int64(len(tval(i)))
+		off += recordBytes(i)
 	}
 	d.Close()
 
@@ -276,7 +277,7 @@ func TestDiskCorruptRecordOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[victimOff+recHdrSize+2] ^= 0x40 // payload byte of the victim
+	raw[victimOff+framelog.HeaderSize+keyHeadLen+2] ^= 0x40 // payload byte of the victim
 	if err := os.WriteFile(seg, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -424,6 +425,54 @@ func TestDiskENOSPC(t *testing.T) {
 	d.Close()
 }
 
+// TestDiskShortWriteKeepsLaterPuts: a write that lands only part of a
+// frame (pwrite's short count on ENOSPC) must not strand the puts after
+// it. The partial bytes are cut back off the segment, so every put that
+// returned nil reopens intact and nothing is counted corrupt.
+func TestDiskShortWriteKeepsLaterPuts(t *testing.T) {
+	dir := t.TempDir()
+	calls := 0
+	d, err := Open(dir, DiskConfig{
+		Fsync: FsyncAlways,
+		WriteFault: func(rec []byte) (int, error) {
+			calls++
+			if calls == 2 {
+				return 30, errors.New("no space left on device (simulated)")
+			}
+			return len(rec), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 6
+	for i := 0; i < n; i++ {
+		err := d.Put(context.Background(), tkey(i), tval(i))
+		if (i == 1) != (err != nil) {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	d.Close()
+
+	d2, err := Open(dir, DiskConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	for i := 0; i < n; i++ {
+		if i == 1 {
+			if _, _, err := d2.Get(context.Background(), tkey(i)); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("failed put %d is readable: %v", i, err)
+			}
+			continue
+		}
+		mustGet(t, d2, i)
+	}
+	if st := d2.Stats(); st.Entries != n-1 || st.CorruptDropped != 0 {
+		t.Fatalf("reopen stats %+v, want %d entries, 0 dropped", st, n-1)
+	}
+}
+
 func TestParseFsyncPolicy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -457,3 +506,6 @@ func TestKeyStringParse(t *testing.T) {
 		t.Fatal("want error")
 	}
 }
+
+// recordBytes is the framed size of test record i.
+func recordBytes(i int) int64 { return int64(framelog.Size(keyHeadLen, len(tval(i)))) }

@@ -21,9 +21,10 @@
 //
 // # Durability (disk tier)
 //
-// Records append to segment files framed as
-// [len][crc32c][keyHi][keyLo][payload]; the checksum covers key and
-// payload. Fsync policy decides the crash window: FsyncAlways means a
+// Records append to segment files as internal/framelog frames whose head
+// is the key, [len][crc32c][keyHi][keyLo][payload]; the checksum covers
+// key and payload, and framelog's scan rebuilds the index on open.
+// Fsync policy decides the crash window: FsyncAlways means a
 // nil Put survives power loss; FsyncInterval (default) bounds machine-
 // crash loss to the last interval; FsyncNever still survives process
 // crashes (the page cache persists) and stays *consistent* under machine

@@ -1,12 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"repro/internal/framelog"
 )
 
 // errHandoffFull rejects a hint past the per-peer queue cap.
@@ -15,7 +18,7 @@ var errHandoffFull = errors.New("store: handoff queue full")
 // handoffQueue is one peer's hinted-handoff backlog: writes that should
 // have replicated to the peer while it was down, held until the drain
 // loop delivers them. The queue lives in memory and, when dir is set,
-// appends through to a per-peer file in the segment-record framing so a
+// appends through to a per-peer file in the segment layout so a
 // restart re-queues undelivered hints. Delivery is at-least-once —
 // content addressing makes redelivery a no-op — and the file only resets
 // once the whole backlog has drained, so a crash mid-drain re-delivers
@@ -57,20 +60,14 @@ func openHandoffQueue(dir, peer string, capacity int) (*handoffQueue, error) {
 		}
 		return hq, nil
 	}
-	// Replay undelivered hints; a torn or corrupt tail ends the replay
-	// (hints are best-effort — losing one costs a read-through later).
-	off := int64(len(segMagic))
-	for off < int64(len(buf)) {
-		k, payload, n, perr := parseRecord(buf[off:])
-		if perr != nil {
-			break
-		}
-		v := make([]byte, len(payload))
-		copy(v, payload)
-		hq.items = append(hq.items, fanoutItem{k: k, v: v})
-		off += n
-	}
-	if err := f.Truncate(off); err != nil {
+	// Replay undelivered hints. A corrupt hint is skipped and the intact
+	// ones after it still replay; a torn tail or lost framing ends the
+	// replay and is cut off (hints are best-effort — losing one costs a
+	// read-through later).
+	end, _, _ := framelog.Scan(buf[len(segMagic):], keyHeadLen, maxPayload, func(_ int, head, body []byte) {
+		hq.items = append(hq.items, fanoutItem{k: headKey(head), v: bytes.Clone(body)})
+	})
+	if err := f.Truncate(int64(len(segMagic) + end)); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -109,7 +106,7 @@ func (hq *handoffQueue) enqueue(k Key, v []byte) error {
 		// bookkeeping: the file holds every item in hq.items (delivered
 		// head included, until the reset), in order.
 		if st, err := hq.f.Stat(); err == nil {
-			hq.f.WriteAt(appendRecord(nil, k, cp), st.Size())
+			hq.f.WriteAt(frameRecord(k, cp), st.Size())
 		}
 	}
 	return nil

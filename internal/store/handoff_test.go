@@ -99,3 +99,45 @@ func TestHandoffCapDedupeAndTornTail(t *testing.T) {
 	}
 	hq2.close()
 }
+
+// TestHandoffCorruptHintKeepsLaterHints: a flipped byte in one complete
+// hint drops that hint alone; the intact hints after it still replay.
+func TestHandoffCorruptHintKeepsLaterHints(t *testing.T) {
+	dir := t.TempDir()
+	hq, err := openHandoffQueue(dir, "http://peer-c:3", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := hq.enqueue(tkey(i), tval(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := hq.path
+	hq.close()
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := int64(len(segMagic)) + recordBytes(0)
+	raw[second+recordBytes(1)-1] ^= 0x01 // last payload byte of hint 2
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hq2, err := openHandoffQueue(dir, "http://peer-c:3", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hq2.close()
+	if hq2.depth() != 2 {
+		t.Fatalf("replayed depth %d, want 2", hq2.depth())
+	}
+	for _, i := range []int{0, 2} {
+		k, v, ok := hq2.peek()
+		if !ok || k != tkey(i) || !bytes.Equal(v, tval(i)) {
+			t.Fatalf("hint %d mismatch", i)
+		}
+		hq2.pop()
+	}
+}

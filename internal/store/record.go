@@ -2,100 +2,45 @@ package store
 
 import (
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
+
+	"repro/internal/framelog"
 )
 
-// Segment log framing. A segment file starts with an 8-byte magic and is
-// followed by records:
+// Segment log layout. A segment (and a hinted-handoff file) is an 8-byte
+// magic followed by framelog frames whose 16-byte head is the key:
 //
 //	[payloadLen u32 LE][crc32c u32 LE][keyHi u64 LE][keyLo u64 LE][payload]
 //
-// The CRC (Castagnoli, the checksum SSDs and filesystems use for the same
-// job) covers key bytes + payload, so a flipped bit anywhere in either is
-// detected — CRC32C catches all single- and double-bit errors and any
-// burst under 32 bits, and everything else with probability 1-2⁻³². A
-// record is "committed" exactly when its final payload byte is on disk;
-// any shorter prefix is a torn tail the rebuild truncates away.
+// The checksum covers key and payload, so a flipped bit in either is
+// detected. framelog owns the framing, the torn-tail rule and the scan.
 const (
 	segMagic   = "suustor1"
-	recHdrSize = 4 + 4 + 8 + 8
+	keyHeadLen = 16
 	// maxPayload bounds the length field so a corrupt frame cannot make
 	// the rebuild attempt a giant allocation or skip past real records.
 	maxPayload = 64 << 20
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// appendRecord encodes k/v framed for the segment log onto buf.
-func appendRecord(buf []byte, k Key, v []byte) []byte {
-	var hdr [recHdrSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(v)))
-	binary.LittleEndian.PutUint64(hdr[8:16], k.Hi)
-	binary.LittleEndian.PutUint64(hdr[16:24], k.Lo)
-	crc := crc32.Update(0, castagnoli, hdr[8:24])
-	crc = crc32.Update(crc, castagnoli, v)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	buf = append(buf, hdr[:]...)
-	return append(buf, v...)
+// frameRecord frames v under k's head in one allocation.
+func frameRecord(k Key, v []byte) []byte {
+	var head [keyHeadLen]byte
+	binary.LittleEndian.PutUint64(head[0:8], k.Hi)
+	binary.LittleEndian.PutUint64(head[8:16], k.Lo)
+	return framelog.Append(make([]byte, 0, framelog.Size(keyHeadLen, len(v))), head[:], v)
 }
 
-// recordSize is the framed size of a payload of n bytes.
-func recordSize(n int) int64 { return int64(recHdrSize + n) }
-
-// parseRecord reads one record from b. Returns the key, the payload
-// (aliasing b), and the framed size consumed. Errors:
-//
-//	errTorn    — b ends before the frame does (a torn tail)
-//	errBadLen  — the length field is implausible (> maxPayload): framing
-//	             is lost and nothing after this point can be trusted
-//	errBadCRC  — the frame is complete but the checksum disagrees
-func parseRecord(b []byte) (k Key, payload []byte, n int64, err error) {
-	if len(b) < recHdrSize {
-		return Key{}, nil, 0, errTorn
-	}
-	plen := binary.LittleEndian.Uint32(b[0:4])
-	if plen > maxPayload {
-		return Key{}, nil, 0, errBadLen
-	}
-	n = recordSize(int(plen))
-	if int64(len(b)) < n {
-		return Key{}, nil, 0, errTorn
-	}
-	k = Key{
-		Hi: binary.LittleEndian.Uint64(b[8:16]),
-		Lo: binary.LittleEndian.Uint64(b[16:24]),
-	}
-	payload = b[recHdrSize:n]
-	crc := crc32.Update(0, castagnoli, b[8:24])
-	crc = crc32.Update(crc, castagnoli, payload)
-	if crc != binary.LittleEndian.Uint32(b[4:8]) {
-		return Key{}, nil, n, errBadCRC
-	}
-	return k, payload, n, nil
+// headKey decodes a record's key head.
+func headKey(head []byte) Key {
+	return Key{Hi: binary.LittleEndian.Uint64(head[0:8]), Lo: binary.LittleEndian.Uint64(head[8:16])}
 }
 
-// verifyRecord re-checks an already-parsed frame at read time (the
-// quarantine-on-read path): same CRC over key bytes + payload.
-func verifyRecord(b []byte) (payload []byte, err error) {
-	if len(b) < recHdrSize {
-		return nil, errTorn
+// parseRecord re-verifies a record read back from its index location: b
+// must be exactly one intact frame carrying key k. It returns the payload,
+// aliasing b.
+func parseRecord(b []byte, k Key) ([]byte, error) {
+	head, payload, n, err := framelog.Parse(b, keyHeadLen, maxPayload)
+	if err == nil && (n != len(b) || headKey(head) != k) {
+		err = framelog.ErrBadCRC
 	}
-	plen := binary.LittleEndian.Uint32(b[0:4])
-	if recordSize(int(plen)) != int64(len(b)) {
-		return nil, errBadLen
-	}
-	payload = b[recHdrSize:]
-	crc := crc32.Update(0, castagnoli, b[8:24])
-	crc = crc32.Update(crc, castagnoli, payload)
-	if crc != binary.LittleEndian.Uint32(b[4:8]) {
-		return nil, errBadCRC
-	}
-	return payload, nil
+	return payload, err
 }
-
-var (
-	errTorn   = fmt.Errorf("store: torn record")
-	errBadLen = fmt.Errorf("store: implausible record length")
-	errBadCRC = fmt.Errorf("store: checksum mismatch")
-)
