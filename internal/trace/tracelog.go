@@ -1,20 +1,16 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"sync"
-	"sync/atomic"
-	"time"
+
+	"repro/internal/framelog"
 )
 
-// Binary trace log: the record half of record/replay. Framing matches
-// the durable store's segment log discipline —
+// Binary trace log: the record half of record/replay. Each record is one
+// internal/framelog frame with an empty head —
 //
 //	[4B little-endian payload length][4B CRC32C of payload][payload]
 //
@@ -31,8 +27,6 @@ import (
 //	u8  nstages, then per stage: u8 stage, u32 count, i64 dur ns
 
 const logVersion = 1
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Small closed code tables keep records compact; unknown strings map
 // to 0 ("?") rather than failing.
@@ -59,31 +53,18 @@ func decode(table []string, c uint8) string {
 // maxLogRecord bounds a single record; anything longer is corrupt.
 const maxLogRecord = 4096
 
-// logFlushInterval bounds how stale the on-disk log can be while records
-// sit in the write buffer: an operator tailing the file sees a kept trace
-// within about a second, not whenever 32 KB of them have accumulated.
-const logFlushInterval = time.Second
+// logRecordMax is the longest record Append encodes: every stage present.
+const logRecordMax = 53 + 13*NumStages
 
-// LogWriter appends trace records to an io.Writer behind a mutex.
+// LogWriter appends trace records through a framelog.Writer, which owns
+// the buffering, the once-a-second flush and the ledger.
 type LogWriter struct {
-	mu        sync.Mutex
-	w         *bufio.Writer
-	c         io.Closer
-	buf       []byte
-	lastFlush time.Time
-
-	records atomic.Uint64
-	bytes   atomic.Uint64
-	errs    atomic.Uint64
+	fw *framelog.Writer
 }
 
 // NewLogWriter wraps w; if w is also an io.Closer, Close closes it.
 func NewLogWriter(w io.Writer) *LogWriter {
-	lw := &LogWriter{w: bufio.NewWriterSize(w, 1<<15)}
-	if c, ok := w.(io.Closer); ok {
-		lw.c = c
-	}
-	return lw
+	return &LogWriter{fw: framelog.NewWriter(w)}
 }
 
 // OpenLog opens (creating or appending) a trace log file.
@@ -101,8 +82,11 @@ func (lw *LogWriter) Append(rec *Record) {
 	if lw == nil {
 		return
 	}
-	lw.mu.Lock()
-	b := lw.buf[:0]
+	var scratch [logRecordMax]byte
+	lw.fw.Append(nil, appendLogRecord(scratch[:0], rec))
+}
+
+func appendLogRecord(b []byte, rec *Record) []byte {
 	b = append(b, logVersion,
 		code(opCodes, rec.Op),
 		code(outcomeCodes, rec.Outcome),
@@ -128,26 +112,7 @@ func (lw *LogWriter) Append(rec *Record) {
 		b = binary.LittleEndian.AppendUint32(b, rec.Counts[i])
 		b = binary.LittleEndian.AppendUint64(b, uint64(rec.Durs[i]))
 	}
-	lw.buf = b // keep the grown buffer
-
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(b)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(b, crcTable))
-	_, err1 := lw.w.Write(hdr[:])
-	_, err2 := lw.w.Write(b)
-	if now := time.Now(); now.Sub(lw.lastFlush) >= logFlushInterval {
-		lw.lastFlush = now
-		if ferr := lw.w.Flush(); err2 == nil {
-			err2 = ferr
-		}
-	}
-	lw.mu.Unlock()
-	if err1 != nil || err2 != nil {
-		lw.errs.Add(1)
-		return
-	}
-	lw.records.Add(1)
-	lw.bytes.Add(uint64(8 + len(b)))
+	return b
 }
 
 // Flush pushes buffered records to the underlying writer.
@@ -155,9 +120,7 @@ func (lw *LogWriter) Flush() error {
 	if lw == nil {
 		return nil
 	}
-	lw.mu.Lock()
-	defer lw.mu.Unlock()
-	return lw.w.Flush()
+	return lw.fw.Flush()
 }
 
 // Close flushes and closes the underlying writer if it is closable.
@@ -165,70 +128,41 @@ func (lw *LogWriter) Close() error {
 	if lw == nil {
 		return nil
 	}
-	lw.mu.Lock()
-	defer lw.mu.Unlock()
-	err := lw.w.Flush()
-	if lw.c != nil {
-		if cerr := lw.c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return lw.fw.Close()
 }
 
-// LogStats snapshots the writer's ledger.
-type LogStats struct {
-	Records uint64 `json:"records"`
-	Bytes   uint64 `json:"bytes"`
-	Errors  uint64 `json:"errors"`
-}
+// LogStats snapshots the writer's ledger: records, framed bytes, errors.
+type LogStats = framelog.Stats
 
 // Stats returns the writer's counters (zero value when nil).
 func (lw *LogWriter) Stats() LogStats {
 	if lw == nil {
 		return LogStats{}
 	}
-	return LogStats{Records: lw.records.Load(), Bytes: lw.bytes.Load(), Errors: lw.errs.Load()}
+	return lw.fw.Stats()
 }
 
-// ReadLog decodes every intact record from r. A torn tail (short read
-// mid-record) ends the scan cleanly; a complete record with a bad CRC
-// or malformed payload is skipped and counted. Returns the records,
-// the number skipped, and any I/O error other than EOF.
+// ReadLog decodes every intact record from r. A torn tail ends the scan
+// cleanly; a complete record with a bad CRC or malformed payload is
+// skipped and counted, and so is an implausible length, which ends the
+// scan. Returns the records, the number skipped, and any read error.
 func ReadLog(r io.Reader) (recs []Record, skipped int, err error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [8]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return recs, skipped, nil // torn tail
-			}
-			return recs, skipped, err
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxLogRecord {
-			// Length is garbage: we cannot resync, stop here.
-			return recs, skipped + 1, nil
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return recs, skipped, nil // torn tail
-			}
-			return recs, skipped, err
-		}
-		if crc32.Checksum(payload, crcTable) != want {
-			skipped++
-			continue
-		}
-		rec, ok := decodeLogRecord(payload)
-		if !ok {
-			skipped++
-			continue
-		}
-		recs = append(recs, rec)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, 0, err
 	}
+	malformed := 0
+	_, skipped, serr := framelog.Scan(b, 0, maxLogRecord, func(_ int, _, payload []byte) {
+		if rec, ok := decodeLogRecord(payload); ok {
+			recs = append(recs, rec)
+		} else {
+			malformed++
+		}
+	})
+	if serr == framelog.ErrBadLen {
+		skipped++
+	}
+	return recs, skipped + malformed, nil
 }
 
 func decodeLogRecord(b []byte) (Record, bool) {

@@ -1,23 +1,21 @@
 package traffic
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
+	"repro/internal/framelog"
 	"repro/internal/workload"
 )
 
-// Binary request trace: the record half of record/replay. Framing matches
-// the trace log and the durable store's segment discipline —
+// Binary request trace: the record half of record/replay. Each record is
+// one internal/framelog frame with an empty head —
 //
 //	[4B little-endian payload length][4B CRC32C of payload][payload]
 //
@@ -50,8 +48,6 @@ const (
 // maxTraceRecord bounds a single frame; longer means corrupt. The header
 // embeds the whole spec catalog as JSON, so it gets generous room.
 const maxTraceRecord = 1 << 20
-
-var traceCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Closed code tables keep request records compact; unknown strings map to
 // 0 ("?") rather than failing.
@@ -133,35 +129,26 @@ func decodeRequest(b []byte) (Request, bool) {
 	return r, true
 }
 
-// Recorder appends framed records to a file (or any writer) behind a
-// mutex. Append never fails the caller: write errors are counted and
-// surfaced by Stats, matching the trace log's "recording must never fail
-// a request" contract.
+// Recorder appends framed records through a framelog.Writer. Append
+// never fails the caller: write errors are counted and surfaced by Stats,
+// matching the trace log's "recording must never fail a request" contract.
 type Recorder struct {
-	mu   sync.Mutex
-	w    *bufio.Writer
-	c    io.Closer
-	buf  []byte
-	recs uint64
-	errs uint64
+	fw *framelog.Writer
 }
 
 // NewRecorder frames records onto w, writing the header frame first. If w
 // is an io.Closer, Close closes it.
 func NewRecorder(w io.Writer, hdr Header) (*Recorder, error) {
-	rec := &Recorder{w: bufio.NewWriterSize(w, 1<<15)}
-	if c, ok := w.(io.Closer); ok {
-		rec.c = c
-	}
 	hj, err := json.Marshal(&hdr)
 	if err != nil {
 		return nil, fmt.Errorf("traffic: encoding trace header: %w", err)
 	}
-	payload := append([]byte{traceVersion, recTypeHeader}, hj...)
-	if err := rec.writeFrame(payload); err != nil {
+	fw := framelog.NewWriter(w)
+	fw.Append(nil, append([]byte{traceVersion, recTypeHeader}, hj...))
+	if err := fw.Flush(); err != nil {
 		return nil, err
 	}
-	return rec, nil
+	return &Recorder{fw: fw}, nil
 }
 
 // Create opens (truncating) a trace file and writes its header.
@@ -178,41 +165,23 @@ func Create(path string, hdr Header) (*Recorder, error) {
 	return rec, nil
 }
 
-func (rec *Recorder) writeFrame(payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, traceCRC))
-	if _, err := rec.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := rec.w.Write(payload)
-	return err
-}
-
 // Append records one request.
 func (rec *Recorder) Append(r *Request) {
 	if rec == nil {
 		return
 	}
-	rec.mu.Lock()
-	rec.buf = appendRequest(rec.buf[:0], r)
-	err := rec.writeFrame(rec.buf)
-	if err != nil {
-		rec.errs++
-	} else {
-		rec.recs++
-	}
-	rec.mu.Unlock()
+	var scratch [requestPayloadLen]byte
+	rec.fw.Append(nil, appendRequest(scratch[:0], r))
 }
 
-// Stats reports records appended and write errors swallowed.
+// Stats reports requests appended (the header frame excluded) and write
+// errors swallowed.
 func (rec *Recorder) Stats() (records, errs uint64) {
 	if rec == nil {
 		return 0, 0
 	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	return rec.recs, rec.errs
+	st := rec.fw.Stats()
+	return st.Records - 1, st.Errors
 }
 
 // Close flushes and closes the underlying writer if it is closable.
@@ -220,15 +189,7 @@ func (rec *Recorder) Close() error {
 	if rec == nil {
 		return nil
 	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	err := rec.w.Flush()
-	if rec.c != nil {
-		if cerr := rec.c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return rec.fw.Close()
 }
 
 // Trace is a decoded recording: the header plus every intact request,
@@ -243,66 +204,53 @@ type Trace struct {
 }
 
 // ReadTrace decodes a recording. A torn tail ends the scan cleanly; a
-// frame with a bad CRC or malformed payload is skipped and counted. The
-// first frame must be an intact header — without it the bodies cannot be
-// rebuilt and replay would be meaningless.
+// frame with a bad CRC or malformed payload is skipped and counted, and
+// so is an implausible length, which ends the scan. The first frame must
+// be an intact header — without it the bodies cannot be rebuilt and
+// replay would be meaningless.
 func ReadTrace(r io.Reader) (*Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
 	tr := &Trace{}
 	sawHeader := false
-	var hdr [8]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				break // torn tail or clean end
-			}
-			return nil, err
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxTraceRecord {
-			// Garbage length: no way to resync framing, stop here.
-			tr.Skipped++
-			break
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				break // torn tail
-			}
-			return nil, err
-		}
-		if crc32.Checksum(payload, traceCRC) != want {
-			tr.Skipped++
-			continue
-		}
+	var herr error
+	_, skipped, serr := framelog.Scan(b, 0, maxTraceRecord, func(_ int, _, payload []byte) {
 		if len(payload) < 2 || payload[0] != traceVersion {
 			tr.Skipped++
-			continue
+			return
 		}
 		switch payload[1] {
 		case recTypeHeader:
 			if sawHeader {
 				tr.Skipped++ // duplicate header: keep the first
-				continue
+				return
 			}
 			if err := json.Unmarshal(payload[2:], &tr.Header); err != nil {
-				return nil, fmt.Errorf("traffic: decoding trace header: %w", err)
+				herr = fmt.Errorf("traffic: decoding trace header: %w", err)
 			}
 			sawHeader = true
 		case recTypeRequest:
 			req, ok := decodeRequest(payload)
 			if !ok {
 				tr.Skipped++
-				continue
+				return
 			}
 			tr.Requests = append(tr.Requests, req)
 		default:
 			tr.Skipped++
 		}
+	})
+	if herr != nil {
+		return nil, herr
 	}
 	if !sawHeader {
 		return nil, errors.New("traffic: trace has no intact header")
+	}
+	tr.Skipped += skipped
+	if serr == framelog.ErrBadLen {
+		tr.Skipped++
 	}
 	sort.SliceStable(tr.Requests, func(i, j int) bool {
 		return tr.Requests[i].Rel < tr.Requests[j].Rel

@@ -88,6 +88,19 @@ func TestTraceRoundTrip(t *testing.T) {
 	if !bytes.Equal(raw, again) {
 		t.Fatalf("re-encoded trace differs: %d vs %d bytes", len(raw), len(again))
 	}
+
+	// Damage goes through framelog.Scan (its property test sweeps every
+	// cut and flip): a torn tail drops the last request uncounted, and a
+	// flipped payload byte drops its request counted.
+	if tr, err := ReadTrace(bytes.NewReader(raw[:len(raw)-1])); err != nil || tr.Skipped != 0 || len(tr.Requests) != len(reqs)-1 {
+		t.Fatalf("torn tail: %+v %v", tr, err)
+	}
+	frame := 8 + requestPayloadLen
+	raw[len(raw)-frame-2] ^= 0xff // inside the third request's payload
+	tr, err = ReadTrace(bytes.NewReader(raw))
+	if err != nil || tr.Skipped != 1 || len(tr.Requests) != len(reqs)-1 || tr.Requests[2] != reqs[3] {
+		t.Fatalf("flipped byte: %+v %v", tr, err)
+	}
 }
 
 // TestTraceSortsBySchedule: records land on disk in completion order, but
@@ -107,58 +120,21 @@ func TestTraceSortsBySchedule(t *testing.T) {
 	}
 }
 
-// TestTraceTornTail: truncating the file at EVERY byte boundary past the
-// header yields a clean prefix — never an error, never a partial record.
-func TestTraceTornTail(t *testing.T) {
-	hdr, reqs := sampleHeader(), sampleRequests()
-	raw := record(t, hdr, reqs)
+// TestTraceNeedsIntactHeader: a file torn inside the header has no
+// schedule to replay, so it is an error, not an empty trace; one torn
+// right after the header is an empty trace.
+func TestTraceNeedsIntactHeader(t *testing.T) {
+	hdr := sampleHeader()
+	raw := record(t, hdr, sampleRequests())
 	headerLen := len(record(t, hdr, nil))
-	frame := 8 + requestPayloadLen
-	for cut := headerLen; cut < len(raw); cut++ {
-		tr, err := ReadTrace(bytes.NewReader(raw[:cut]))
-		if err != nil {
-			t.Fatalf("cut at %d: %v", cut, err)
-		}
-		wantComplete := (cut - headerLen) / frame
-		if len(tr.Requests) != wantComplete {
-			t.Fatalf("cut at %d: %d requests, want %d", cut, len(tr.Requests), wantComplete)
-		}
-		if tr.Skipped != 0 {
-			t.Fatalf("cut at %d: torn tail counted as corruption", cut)
-		}
-	}
-	// A file torn inside the header has no schedule to replay: that is an
-	// error, not an empty trace.
-	for _, cut := range []int{0, 4, headerLen - 1} {
+	for _, cut := range []int{0, 4, 8, headerLen - 1} {
 		if _, err := ReadTrace(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("cut at %d inside the header accepted", cut)
 		}
 	}
-}
-
-// TestTraceCorruptRecord: a flipped byte inside one record drops exactly
-// that record, counted, with every other record intact.
-func TestTraceCorruptRecord(t *testing.T) {
-	hdr, reqs := sampleHeader(), sampleRequests()
-	raw := record(t, hdr, reqs)
-	headerLen := len(record(t, hdr, nil))
-	frame := 8 + requestPayloadLen
-	corrupt := append([]byte(nil), raw...)
-	corrupt[headerLen+frame+8+3] ^= 0xff // inside the second record's payload
-	tr, err := ReadTrace(bytes.NewReader(corrupt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Skipped != 1 {
-		t.Fatalf("skipped = %d, want 1", tr.Skipped)
-	}
-	if len(tr.Requests) != len(reqs)-1 {
-		t.Fatalf("%d requests survive, want %d", len(tr.Requests), len(reqs)-1)
-	}
-	for _, got := range tr.Requests {
-		if got == reqs[1] {
-			t.Fatalf("corrupted record served: %+v", got)
-		}
+	tr, err := ReadTrace(bytes.NewReader(raw[:headerLen]))
+	if err != nil || len(tr.Requests) != 0 || tr.Skipped != 0 {
+		t.Fatalf("bare header: %v", err)
 	}
 }
 
