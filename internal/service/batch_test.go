@@ -278,7 +278,16 @@ func TestBatchCoalescesWithInFlightSingle(t *testing.T) {
 		singleOut <- r
 		singleErr <- err
 	}()
-	for p.queued.Load() == 0 { // the single is admitted and waiting
+	// Wait until the single leads its flight. Admission charges the queue
+	// just before resolve joins the flight table, so waiting on the queue
+	// charge alone lets a fast batch lead instead of follow.
+	for {
+		p.flight.mu.Lock()
+		led := len(p.flight.m) == 1
+		p.flight.mu.Unlock()
+		if led {
+			break
+		}
 		runtime.Gosched()
 	}
 
