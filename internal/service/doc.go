@@ -177,8 +177,9 @@
 //     — where server time went, split by how the request was served.
 //   - /debug/traces serves a ring of recent traces and a slowest-N list
 //     (filterable by op and outcome), and Config.TraceLog appends every
-//     kept trace to a CRC-framed binary log (trace.ReadLog decodes it,
-//     tolerating torn tails) — the record half of record/replay.
+//     kept trace to a binary log of internal/framelog frames (trace.ReadLog
+//     decodes it, tolerating torn tails) — the record half of
+//     record/replay.
 //   - Requests between replicas propagate the ID: peer store fetches and
 //     replication fan-out stamp X-Suu-Trace-Id, so a fleet-wide search
 //     for one ID finds every hop it touched.
