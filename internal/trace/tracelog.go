@@ -56,15 +56,16 @@ const maxLogRecord = 4096
 // logRecordMax is the longest record Append encodes: every stage present.
 const logRecordMax = 53 + 13*NumStages
 
-// LogWriter appends trace records through a framelog.Writer, which owns
-// the buffering, the once-a-second flush and the ledger.
+// LogWriter appends trace records through its framelog.Writer, which
+// supplies the buffering, the once-a-second flush, Flush, Close and the
+// Stats ledger.
 type LogWriter struct {
-	fw *framelog.Writer
+	*framelog.Writer
 }
 
 // NewLogWriter wraps w; if w is also an io.Closer, Close closes it.
 func NewLogWriter(w io.Writer) *LogWriter {
-	return &LogWriter{fw: framelog.NewWriter(w)}
+	return &LogWriter{framelog.NewWriter(w)}
 }
 
 // OpenLog opens (creating or appending) a trace log file.
@@ -79,11 +80,8 @@ func OpenLog(path string) (*LogWriter, error) {
 // Append writes one record. Errors are counted, not returned — the
 // trace log must never fail a request.
 func (lw *LogWriter) Append(rec *Record) {
-	if lw == nil {
-		return
-	}
 	var scratch [logRecordMax]byte
-	lw.fw.Append(nil, appendLogRecord(scratch[:0], rec))
+	lw.Writer.Append(nil, appendLogRecord(scratch[:0], rec))
 }
 
 func appendLogRecord(b []byte, rec *Record) []byte {
@@ -115,32 +113,8 @@ func appendLogRecord(b []byte, rec *Record) []byte {
 	return b
 }
 
-// Flush pushes buffered records to the underlying writer.
-func (lw *LogWriter) Flush() error {
-	if lw == nil {
-		return nil
-	}
-	return lw.fw.Flush()
-}
-
-// Close flushes and closes the underlying writer if it is closable.
-func (lw *LogWriter) Close() error {
-	if lw == nil {
-		return nil
-	}
-	return lw.fw.Close()
-}
-
 // LogStats snapshots the writer's ledger: records, framed bytes, errors.
 type LogStats = framelog.Stats
-
-// Stats returns the writer's counters (zero value when nil).
-func (lw *LogWriter) Stats() LogStats {
-	if lw == nil {
-		return LogStats{}
-	}
-	return lw.fw.Stats()
-}
 
 // ReadLog decodes every intact record from r. A torn tail ends the scan
 // cleanly; a complete record with a bad CRC or malformed payload is

@@ -129,11 +129,12 @@ func decodeRequest(b []byte) (Request, bool) {
 	return r, true
 }
 
-// Recorder appends framed records through a framelog.Writer. Append
-// never fails the caller: write errors are counted and surfaced by Stats,
+// Recorder appends framed records through its framelog.Writer, which
+// supplies the buffering, the once-a-second flush and Close. Append never
+// fails the caller: write errors are counted and surfaced by Stats,
 // matching the trace log's "recording must never fail a request" contract.
 type Recorder struct {
-	fw *framelog.Writer
+	*framelog.Writer
 }
 
 // NewRecorder frames records onto w, writing the header frame first. If w
@@ -148,7 +149,7 @@ func NewRecorder(w io.Writer, hdr Header) (*Recorder, error) {
 	if err := fw.Flush(); err != nil {
 		return nil, err
 	}
-	return &Recorder{fw: fw}, nil
+	return &Recorder{fw}, nil
 }
 
 // Create opens (truncating) a trace file and writes its header.
@@ -167,29 +168,15 @@ func Create(path string, hdr Header) (*Recorder, error) {
 
 // Append records one request.
 func (rec *Recorder) Append(r *Request) {
-	if rec == nil {
-		return
-	}
 	var scratch [requestPayloadLen]byte
-	rec.fw.Append(nil, appendRequest(scratch[:0], r))
+	rec.Writer.Append(nil, appendRequest(scratch[:0], r))
 }
 
 // Stats reports requests appended (the header frame excluded) and write
 // errors swallowed.
 func (rec *Recorder) Stats() (records, errs uint64) {
-	if rec == nil {
-		return 0, 0
-	}
-	st := rec.fw.Stats()
+	st := rec.Writer.Stats()
 	return st.Records - 1, st.Errors
-}
-
-// Close flushes and closes the underlying writer if it is closable.
-func (rec *Recorder) Close() error {
-	if rec == nil {
-		return nil
-	}
-	return rec.fw.Close()
 }
 
 // Trace is a decoded recording: the header plus every intact request,
