@@ -101,6 +101,7 @@ type segment struct {
 	id   int
 	f    *os.File
 	size int64
+	torn bool // a failed append left bytes past size
 }
 
 func segName(id int) string { return fmt.Sprintf("seg-%06d.log", id) }
@@ -372,10 +373,11 @@ func (d *Disk) Put(_ context.Context, k Key, v []byte) error {
 		// A failed append is never indexed and does not advance the
 		// segment: its partial frame stays on disk as a torn tail (exactly
 		// what a crash leaves, and the next Open truncates it) until the
-		// next append overwrites it in place. Appending after it instead
-		// would bury it mid-segment, where a reopen reads its length
-		// across every later record.
+		// next append overwrites it in place and cuts off what is left.
+		// Appending after it instead would bury it mid-segment, where a
+		// reopen reads its length across every later record.
 		d.putErrors.Add(1)
+		seg.torn = seg.torn || n > 0
 		return werr
 	}
 	rn := int64(len(rec))
@@ -383,6 +385,9 @@ func (d *Disk) Put(_ context.Context, k Key, v []byte) error {
 	seg.size += rn
 	d.total += rn
 	d.live += rn
+	if seg.torn && seg.f.Truncate(seg.size) == nil {
+		seg.torn = false
+	}
 	d.puts.Add(1)
 	switch d.cfg.Fsync {
 	case FsyncAlways:

@@ -427,17 +427,21 @@ func TestDiskENOSPC(t *testing.T) {
 
 // TestDiskShortWriteKeepsLaterPuts: a write that lands only part of a
 // frame (pwrite's short count on ENOSPC) must not strand the puts after
-// it. The partial bytes are cut back off the segment, so every put that
-// returned nil reopens intact and nothing is counted corrupt.
+// it. The next append overwrites the partial bytes, so every put that
+// returned nil reopens intact and nothing is counted corrupt — also when
+// that next frame is shorter than the partial one.
 func TestDiskShortWriteKeepsLaterPuts(t *testing.T) {
 	dir := t.TempDir()
+	// Put 1 (a 42-byte frame) lands 30 bytes and put 2's frame is longer;
+	// put 4 (81 bytes) lands 70 and put 5's frame is 37 bytes.
+	short := map[int]int{1: 30, 4: 70}
 	calls := 0
 	d, err := Open(dir, DiskConfig{
 		Fsync: FsyncAlways,
 		WriteFault: func(rec []byte) (int, error) {
 			calls++
-			if calls == 2 {
-				return 30, errors.New("no space left on device (simulated)")
+			if keep, ok := short[calls-1]; ok {
+				return keep, errors.New("no space left on device (simulated)")
 			}
 			return len(rec), nil
 		},
@@ -448,7 +452,7 @@ func TestDiskShortWriteKeepsLaterPuts(t *testing.T) {
 	const n = 6
 	for i := 0; i < n; i++ {
 		err := d.Put(context.Background(), tkey(i), tval(i))
-		if (i == 1) != (err != nil) {
+		if _, fails := short[i]; fails != (err != nil) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -460,7 +464,7 @@ func TestDiskShortWriteKeepsLaterPuts(t *testing.T) {
 	}
 	defer d2.Close()
 	for i := 0; i < n; i++ {
-		if i == 1 {
+		if _, fails := short[i]; fails {
 			if _, _, err := d2.Get(context.Background(), tkey(i)); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("failed put %d is readable: %v", i, err)
 			}
@@ -468,8 +472,8 @@ func TestDiskShortWriteKeepsLaterPuts(t *testing.T) {
 		}
 		mustGet(t, d2, i)
 	}
-	if st := d2.Stats(); st.Entries != n-1 || st.CorruptDropped != 0 {
-		t.Fatalf("reopen stats %+v, want %d entries, 0 dropped", st, n-1)
+	if st := d2.Stats(); st.Entries != n-len(short) || st.CorruptDropped != 0 {
+		t.Fatalf("reopen stats %+v, want %d entries, 0 dropped", st, n-len(short))
 	}
 }
 
