@@ -52,16 +52,14 @@ func newCachedFrame(v any, frame []byte) *cachedFrame {
 }
 
 // encodeFrame produces the canonical frame for a freshly built response —
-// the one cold encode a cacheable payload ever gets. Metered into the
-// encode_ns histogram, the cold-encode counter, and the request's encode
-// stage span.
+// the one cold encode a cacheable payload ever gets. Metered as one
+// encode stage span, whose count is /metrics' cold_encodes.
 func (p *Planner) encodeFrame(v any, tc *trace.Ctx) (*cachedFrame, error) {
 	start := time.Now()
 	b, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
-	p.metrics.observeEncode(time.Since(start))
 	p.obsStage(tc, trace.StageEncode, start)
 	return newCachedFrame(v, b), nil
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/stats"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -29,14 +28,10 @@ type Metrics struct {
 	deadlineAbandoned atomic.Uint64 // computations stopped because every caller gave up
 	retriesObserved   atomic.Uint64 // requests arriving with X-Suu-Attempt ≥ 2
 
-	// Store-tier ledger: every storeGet lands in exactly one of the hit
-	// counters (by the tier that served it) or storeMisses, and every
+	// Store-tier ledger: every storeGet is one sample of exactly one
+	// store.* stage (the tier that served it, or store.miss), and every
 	// plan actually computed lands in plansComputed — so a warm-restart
 	// assertion can reconcile "served from disk, computed nothing".
-	storeMemHits   atomic.Uint64 // store lookups served by the mem tier
-	storeDiskHits  atomic.Uint64 // served by the disk tier (segment log)
-	storePeerHits  atomic.Uint64 // served by a peer replica
-	storeMisses    atomic.Uint64 // store lookups no tier could answer
 	storePutErrors atomic.Uint64 // persists that failed (full/failing store)
 	plansComputed  atomic.Uint64 // plans actually computed (not served from LRU/store)
 
@@ -44,13 +39,13 @@ type Metrics struct {
 	// is attributed to exactly one side — spliced from a pre-encoded cache
 	// frame (LRU, flight, or store hit: no Marshal ran for this serve) or
 	// produced by a cold encode (this request's own computation, or a
-	// degraded fallback). framesSpliced / (framesSpliced + coldEncodes)
-	// therefore reconciles with the cache hit rate: a frame can only be
-	// spliced because some earlier request's cold encode cached it.
+	// degraded fallback; one sample of the encode stage each).
+	// framesSpliced / (framesSpliced + cold encodes) therefore reconciles
+	// with the cache hit rate: a frame can only be spliced because some
+	// earlier request's cold encode cached it.
 	payloadBytesCache atomic.Uint64 // payload bytes served by splicing a pre-encoded frame
 	payloadBytesCold  atomic.Uint64 // payload bytes served from this request's own encode
 	framesSpliced     atomic.Uint64 // payloads served with zero json.Marshal
-	coldEncodes       atomic.Uint64 // canonical payload encodes actually run
 
 	// Request-side mirror of the ledger above: instances resolved from
 	// the byte-keyed decoded-instance cache vs actually re-decoded (see
@@ -61,20 +56,13 @@ type Metrics struct {
 	mu      sync.Mutex
 	planLat *stats.Histogram
 	estLat  *stats.Histogram
-	// encodeNS distributes the cost of cold payload encodes, in
-	// nanoseconds — the time splicing saves on every hit.
-	encodeNS *stats.Histogram
 
-	// Per-tier store lookup latency, under the same mutex as the other
-	// histograms.
-	storeMemLat  *stats.Histogram
-	storeDiskLat *stats.Histogram
-	storePeerLat *stats.Histogram
-
-	// Per-stage latency, indexed by trace.Stage, under the same mutex.
-	// Stages are recorded only for traced requests (the HTTP layer creates
-	// a trace.Ctx; library calls and Warmup do not), so every stage sample
-	// belongs to a request the endpoint histograms also counted.
+	// Per-stage latency, indexed by trace.Stage, under the same mutex:
+	// the one server-side record of stage time. Every stage of every
+	// request is recorded, traced or not (Warmup's probe solve is not a
+	// request and stays out), so every stage sample belongs to a request
+	// the endpoint histograms also counted. The store hit/miss and cold
+	// encode counters are these histograms' sample counts.
 	stageLat [trace.NumStages]*stats.Histogram
 
 	// Batch accounting lives under mu as plain counters (not atomics):
@@ -100,22 +88,12 @@ func newMetrics() *Metrics {
 	if err != nil {
 		panic(err) // static parameters; cannot fail
 	}
-	// Cold encodes run from ~microseconds (tiny plans) to milliseconds
-	// (near-cap instances); 100ns..10s covers both edges with clamping.
-	encodeHist, err := stats.NewHistogram(100, 1e10, 8)
-	if err != nil {
-		panic(err) // static parameters; cannot fail
-	}
 	m := &Metrics{
-		start:        time.Now(),
-		planLat:      stats.NewLatencyHistogram(),
-		estLat:       stats.NewLatencyHistogram(),
-		encodeNS:     encodeHist,
-		batchLat:     stats.NewLatencyHistogram(),
-		batchSize:    sizeHist,
-		storeMemLat:  stats.NewLatencyHistogram(),
-		storeDiskLat: stats.NewLatencyHistogram(),
-		storePeerLat: stats.NewLatencyHistogram(),
+		start:     time.Now(),
+		planLat:   stats.NewLatencyHistogram(),
+		estLat:    stats.NewLatencyHistogram(),
+		batchLat:  stats.NewLatencyHistogram(),
+		batchSize: sizeHist,
 	}
 	for i := range m.stageLat {
 		m.stageLat[i] = stats.NewLatencyHistogram()
@@ -123,47 +101,13 @@ func newMetrics() *Metrics {
 	return m
 }
 
-// observeStage records one stage span of a traced request.
+// observeStage records one stage span of a request.
 func (m *Metrics) observeStage(s trace.Stage, d time.Duration) {
 	if int(s) >= len(m.stageLat) {
 		return
 	}
 	m.mu.Lock()
 	m.stageLat[s].Observe(d.Seconds())
-	m.mu.Unlock()
-}
-
-// observeStore records one store lookup served by the named tier.
-func (m *Metrics) observeStore(tier string, d time.Duration) {
-	var h *stats.Histogram
-	switch tier {
-	case store.TierMem:
-		m.storeMemHits.Add(1)
-		h = m.storeMemLat
-	case store.TierDisk:
-		m.storeDiskHits.Add(1)
-		h = m.storeDiskLat
-	case store.TierPeer:
-		m.storePeerHits.Add(1)
-		h = m.storePeerLat
-	default:
-		return
-	}
-	m.mu.Lock()
-	h.Observe(d.Seconds())
-	m.mu.Unlock()
-}
-
-// observeEncode records one cold payload encode — the single Marshal a
-// cacheable response ever gets, or a degraded fallback's per-request one.
-func (m *Metrics) observeEncode(d time.Duration) {
-	m.coldEncodes.Add(1)
-	ns := float64(d.Nanoseconds())
-	if ns < 1 {
-		ns = 1
-	}
-	m.mu.Lock()
-	m.encodeNS.Observe(ns)
 	m.mu.Unlock()
 }
 
@@ -338,12 +282,11 @@ type MetricsSnapshot struct {
 	// request's own encode). frames_spliced / (frames_spliced +
 	// cold_encodes) is the observable zero-copy hit rate; it reconciles
 	// with cache_hit_rate because only a cold encode can plant a frame for
-	// later splicing. encode_ns distributes the cold encodes' cost in
-	// nanoseconds.
+	// later splicing. cold_encodes is the encode stage's count; the
+	// encodes' cost is stages["encode"].
 	PayloadBytes  PayloadBytesSnapshot `json:"payload_bytes_served"`
 	FramesSpliced uint64               `json:"frames_spliced"`
 	ColdEncodes   uint64               `json:"cold_encodes"`
-	EncodeNS      DistSnapshot         `json:"encode_ns"`
 	// The request-side mirror: instance_decode_hits counts request
 	// instances resolved byte-for-byte from the decoded-instance cache
 	// (no float parsing ran), instance_decode_misses the instances
@@ -365,36 +308,34 @@ type MetricsSnapshot struct {
 
 	// Store-tier counters (all zero when no store is configured). The
 	// service-side view reconciles per document: every store lookup is
-	// one of store_mem_hits/store_disk_hits/store_peer_hits/store_misses,
-	// and plans_computed counts only plans no tier (LRU or store) could
-	// serve. The store_* ledger fields below come from the store's own
-	// Stats — corrupt records quarantined, hinted handoff flow, and the
-	// startup anti-entropy pull.
-	PlansComputed      uint64          `json:"plans_computed"`
-	StoreMemHits       uint64          `json:"store_mem_hits"`
-	StoreDiskHits      uint64          `json:"store_disk_hits"`
-	StorePeerHits      uint64          `json:"store_peer_hits"`
-	StoreMisses        uint64          `json:"store_misses"`
-	StorePutErrors     uint64          `json:"store_put_errors"`
-	StoreEntries       int             `json:"store_entries"`
-	StoreCorrupt       uint64          `json:"store_corrupt_dropped"`
-	StoreHandoffQueued uint64          `json:"store_handoff_queued"`
-	StoreHandoffDrain  uint64          `json:"store_handoff_drained"`
-	StoreHandoffDrop   uint64          `json:"store_handoff_dropped"`
-	StoreAntiEntropy   uint64          `json:"store_anti_entropy_pulled"`
-	StoreMemLatency    LatencySnapshot `json:"store_mem_latency"`
-	StoreDiskLatency   LatencySnapshot `json:"store_disk_latency"`
-	StorePeerLatency   LatencySnapshot `json:"store_peer_latency"`
+	// one of store_mem_hits/store_disk_hits/store_peer_hits/store_misses
+	// — the counts of the store.mem/store.disk/store.peer/store.miss
+	// stages, whose latencies are in stages — and plans_computed counts
+	// only plans no tier (LRU or store) could serve. The store_* ledger
+	// fields below come from the store's own Stats — corrupt records
+	// quarantined, hinted handoff flow, and the startup anti-entropy pull.
+	PlansComputed      uint64 `json:"plans_computed"`
+	StoreMemHits       uint64 `json:"store_mem_hits"`
+	StoreDiskHits      uint64 `json:"store_disk_hits"`
+	StorePeerHits      uint64 `json:"store_peer_hits"`
+	StoreMisses        uint64 `json:"store_misses"`
+	StorePutErrors     uint64 `json:"store_put_errors"`
+	StoreEntries       int    `json:"store_entries"`
+	StoreCorrupt       uint64 `json:"store_corrupt_dropped"`
+	StoreHandoffQueued uint64 `json:"store_handoff_queued"`
+	StoreHandoffDrain  uint64 `json:"store_handoff_drained"`
+	StoreHandoffDrop   uint64 `json:"store_handoff_dropped"`
+	StoreAntiEntropy   uint64 `json:"store_anti_entropy_pulled"`
 
-	// Stage-level attribution (tentpole of the tracing layer). Stages maps
-	// each canonical stage name (decode, queue, flight, store.mem,
-	// store.disk, store.peer, store.miss, solve, round, encode, degrade)
-	// to its latency distribution across traced requests. Stage samples
-	// are recorded only for requests that carried a trace context, so
-	// within one document each stage's sum_s is bounded by the endpoint
-	// latency sums (decode excepted: it is measured in the HTTP handler,
-	// before the planner's endpoint clock starts). The trace_* counters
-	// ledger the tracer itself: traced = requests that carried a context,
+	// Stage-level attribution. Stages maps each canonical stage name
+	// (decode, queue, flight, store.mem, store.disk, store.peer,
+	// store.miss, solve, round, encode, degrade) to its latency
+	// distribution across every request, whatever the trace sampling
+	// rate. Within one document the stage sums are bounded by the
+	// endpoint latency sums (decode excepted: it is measured in the HTTP
+	// handler, before the planner's endpoint clock starts). The trace_*
+	// counters, present only while tracing is enabled, ledger the tracer
+	// itself: traced = requests that carried a context,
 	// trace_sampled of them won the head-sampling roll, trace_forced were
 	// kept regardless (errors/degraded), trace_ring_kept landed in the
 	// /debug/traces ring, trace_slow_kept in its slowest-N list, and
@@ -423,12 +364,8 @@ func (m *Metrics) snapshot(cache *planCache) MetricsSnapshot {
 	m.mu.Lock()
 	planLat := m.planLat.Clone()
 	estLat := m.estLat.Clone()
-	encodeNS := m.encodeNS.Clone()
 	batchLat := m.batchLat.Clone()
 	batchSize := m.batchSize.Clone()
-	storeMemLat := m.storeMemLat.Clone()
-	storeDiskLat := m.storeDiskLat.Clone()
-	storePeerLat := m.storePeerLat.Clone()
 	var stageLat [trace.NumStages]*stats.Histogram
 	for i, h := range m.stageLat {
 		if h.N() > 0 {
@@ -491,27 +428,32 @@ func (m *Metrics) snapshot(cache *planCache) MetricsSnapshot {
 			ColdEncode:   m.payloadBytesCold.Load(),
 		},
 		FramesSpliced: m.framesSpliced.Load(),
-		ColdEncodes:   m.coldEncodes.Load(),
-		EncodeNS:      distSnapshot(encodeNS),
+		ColdEncodes:   stageN(stageLat, trace.StageEncode),
 		DecodeHits:    m.decodeHits.Load(),
 		DecodeMisses:  m.decodeMisses.Load(),
 
-		PlansComputed:    m.plansComputed.Load(),
-		StoreMemHits:     m.storeMemHits.Load(),
-		StoreDiskHits:    m.storeDiskHits.Load(),
-		StorePeerHits:    m.storePeerHits.Load(),
-		StoreMisses:      m.storeMisses.Load(),
-		StorePutErrors:   m.storePutErrors.Load(),
-		StoreMemLatency:  latencySnapshot(storeMemLat),
-		StoreDiskLatency: latencySnapshot(storeDiskLat),
-		StorePeerLatency: latencySnapshot(storePeerLat),
-		Stages:           stageSnapshots(stageLat),
+		PlansComputed:  m.plansComputed.Load(),
+		StoreMemHits:   stageN(stageLat, trace.StageStoreMem),
+		StoreDiskHits:  stageN(stageLat, trace.StageStoreDisk),
+		StorePeerHits:  stageN(stageLat, trace.StageStorePeer),
+		StoreMisses:    stageN(stageLat, trace.StageStoreMiss),
+		StorePutErrors: m.storePutErrors.Load(),
+		Stages:         stageSnapshots(stageLat),
 	}
 }
 
+// stageN is one stage's sample count in a snapshot's clones (nil: never
+// observed).
+func stageN(stageLat [trace.NumStages]*stats.Histogram, s trace.Stage) uint64 {
+	if h := stageLat[s]; h != nil {
+		return h.N()
+	}
+	return 0
+}
+
 // stageSnapshots renders the observed stages under their canonical names;
-// stages never observed are omitted, so a tracing-off /metrics document
-// looks exactly like it did before the tracing layer existed.
+// stages never observed are omitted (a planner that has served nothing
+// has no stages map at all).
 func stageSnapshots(stageLat [trace.NumStages]*stats.Histogram) map[string]LatencySnapshot {
 	var out map[string]LatencySnapshot
 	for i, h := range stageLat {

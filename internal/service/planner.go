@@ -148,11 +148,13 @@ type Config struct {
 	// TraceSample is the head-based request-trace sampling probability in
 	// [0, 1]. Errors, degraded responses, and slowest-N qualifiers are
 	// always kept when tracing is enabled. The default 0 together with
-	// TraceRing 0 and no TraceLog disables tracing entirely — library
-	// callers and benchmarks pay nothing.
+	// TraceRing 0 and no TraceLog disables tracing entirely: no trace
+	// context is allocated. Sampling decides only which traces are kept
+	// (ring, slowest-N, log, X-Suu-Trace); the per-stage histograms in
+	// /metrics record every request either way.
 	TraceSample float64
 	// TraceRing is the /debug/traces ring-buffer capacity; 0 disables the
-	// recorder (and slowest-N tracking).
+	// recorder (and slowest-N tracking). Stage metrics do not depend on it.
 	TraceRing int
 	// TraceSlowN is how many slowest traces to retain when TraceRing > 0
 	// (default 32).
@@ -324,15 +326,10 @@ func (p *Planner) Config() Config { return p.cfg }
 // no Trace* config was set).
 func (p *Planner) Tracer() *trace.Tracer { return p.tracer }
 
-// obsStage closes one stage span: the elapsed time lands on the request's
-// trace context and in the per-stage latency histogram. Stage metrics are
-// recorded only for traced requests — library calls and Warmup never
-// create a Ctx — so within one /metrics document the stage sums stay
-// attributable to the requests the endpoint histograms counted.
+// obsStage closes one stage span: the elapsed time lands in the per-stage
+// latency histogram for every request, and on the request's trace context
+// when it has one (tc may be nil: tracing off, or a library call).
 func (p *Planner) obsStage(tc *trace.Ctx, s trace.Stage, start time.Time) {
-	if tc == nil {
-		return
-	}
 	d := time.Since(start)
 	tc.Add(s, d)
 	p.metrics.observeStage(s, d)
@@ -402,15 +399,19 @@ func (p *Planner) ShuttingDown() bool {
 // Warmup primes the workspace pool and LP engines with one tiny plan, then
 // marks the planner ready. /readyz reports not-ready until it runs: a
 // replica that has not yet paged in its solve path serves its first real
-// request with a cold-start latency spike a balancer should not see.
+// request with a cold-start latency spike a balancer should not see. The
+// probe is no request: it seeds the unit-cost estimate but stays out of
+// the stage histograms, which count only what an endpoint clock counted.
 func (p *Planner) Warmup() error {
 	ins, err := model.New(2, 2, [][]float64{{0.5, 0.5}, {0.5, 0.5}}, nil)
 	if err != nil {
 		return err
 	}
-	if _, err := p.computePlan(ins, sched.FingerprintInstance(ins), 0.5, dag.ClassIndependent, nil, nil); err != nil {
+	start := time.Now()
+	if _, _, err := p.solvePlan(ins, sched.FingerprintInstance(ins), 0.5, dag.ClassIndependent); err != nil {
 		return err
 	}
+	p.observeUnitCost(itemCost(ins), time.Since(start))
 	// A replica with a store also waits for it to be fleet-worthy — disk
 	// index rebuilt, startup anti-entropy done — before claiming ready:
 	// a rebooting node must come up warm, not merely alive.
@@ -907,6 +908,25 @@ func (p *Planner) computePlan(ins *model.Instance, fp sched.Fingerprint, target 
 		return nil, err
 	}
 	start := time.Now()
+	resp, o, err := p.solvePlan(ins, fp, target, class)
+	if err != nil {
+		return nil, err
+	}
+	// The LP solve and its rounding are fused inside the workspace Round
+	// call, so StageSolve covers both; StageRound is the rounded
+	// schedule's conversion into the wire shape.
+	p.obsStage(tc, trace.StageSolve, start)
+	rstart := time.Now()
+	resp.Machines = serializeRuns(o, &resp.Length)
+	p.obsStage(tc, trace.StageRound, rstart)
+	p.observeUnitCost(itemCost(ins), time.Since(start))
+	return resp, nil
+}
+
+// solvePlan solves and rounds the plan's LP on a pooled workspace,
+// returning the response without its machine runs and the rounded
+// schedule they serialize from.
+func (p *Planner) solvePlan(ins *model.Instance, fp sched.Fingerprint, target float64, class dag.Class) (*PlanResponse, *sched.Oblivious, error) {
 	ws := p.pool.Get()
 	defer p.pool.Put(ws)
 	resp := &PlanResponse{
@@ -928,7 +948,7 @@ func (p *Planner) computePlan(ins *model.Instance, fp sched.Fingerprint, target 
 		// here would only hold duplicates.
 		r, err := (*rounding.Cache)(nil).RoundLP1Ws(ws, ins, jobs, target)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		o = r.Schedule
 		resp.TStar = r.TFrac
@@ -942,25 +962,17 @@ func (p *Planner) computePlan(ins *model.Instance, fp sched.Fingerprint, target 
 	case dag.ClassChains:
 		chains, err := ins.Chains()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		ws.BeginLP2()
 		r, err := (*rounding.LP2Cache)(nil).RoundLP2Ws(ws, ins, chains)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		o = r.Assignment.Serialize()
 		resp.TStar = r.TFrac
 	}
-	// The LP solve and its rounding are fused inside the workspace Round
-	// call, so StageSolve covers both; StageRound is the rounded
-	// schedule's conversion into the wire shape.
-	p.obsStage(tc, trace.StageSolve, start)
-	rstart := time.Now()
-	resp.Machines = serializeRuns(o, &resp.Length)
-	p.obsStage(tc, trace.StageRound, rstart)
-	p.observeUnitCost(itemCost(ins), time.Since(start))
-	return resp, nil
+	return resp, o, nil
 }
 
 // serializeRuns converts a schedule into the wire run lists, recording

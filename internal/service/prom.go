@@ -143,9 +143,6 @@ func promMetrics(sn MetricsSnapshot) []byte {
 	pw.summary("suu_plan_latency_seconds", "Single plan request latency.", sn.PlanLatency)
 	pw.summary("suu_estimate_latency_seconds", "Estimate request latency.", sn.EstLatency)
 	pw.summary("suu_batch_latency_seconds", "Batch request latency.", sn.BatchLatency)
-	pw.summary("suu_store_mem_latency_seconds", "Store memory-tier hit latency.", sn.StoreMemLatency)
-	pw.summary("suu_store_disk_latency_seconds", "Store disk-tier hit latency.", sn.StoreDiskLatency)
-	pw.summary("suu_store_peer_latency_seconds", "Store peer-fetch hit latency.", sn.StorePeerLatency)
 
 	if len(sn.Stages) > 0 {
 		names := make([]string, 0, len(sn.Stages))
@@ -153,7 +150,7 @@ func promMetrics(sn MetricsSnapshot) []byte {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		pw.header("suu_stage_seconds", "Per-stage latency attribution across traced requests.", "summary")
+		pw.header("suu_stage_seconds", "Per-stage latency attribution across all requests.", "summary")
 		for _, name := range names {
 			pw.summaryBody("suu_stage_seconds", `stage="`+name+`"`, sn.Stages[name])
 		}

@@ -101,43 +101,38 @@ func decodeStored(kind uint8, b []byte) (*cachedFrame, error) {
 // reaches the store at all. Runs under context.Background(): the store's
 // own timeouts bound a peer fetch, and a result is worth caching even if
 // this caller's deadline is about to expire (same reasoning as detached
-// computations). The request's trace rides along two ways: the tier that
-// answered becomes a stage span (store.mem / store.disk / store.peer, or
-// store.miss when every tier came up empty), and the trace context — and
-// through it the bare trace ID — flows into the store stack so a peer
-// fetch carries X-Suu-Trace-Id across the fleet.
+// computations). The whole lookup, envelope decode included, is one
+// stage span: the tier that answered (store.mem / store.disk /
+// store.peer), or store.miss when every tier came up empty. The trace
+// context — and through it the bare trace ID — flows into the store stack
+// so a peer fetch carries X-Suu-Trace-Id across the fleet.
 func (p *Planner) storeGet(key requestKey, tc *trace.Ctx) (*cachedFrame, bool) {
 	st := p.cfg.Store
 	if st == nil {
 		return nil, false
 	}
 	start := time.Now()
+	var v *cachedFrame
 	b, tier, err := st.Get(trace.NewContext(context.Background(), tc), storeKeyOf(key))
-	if err != nil {
-		p.metrics.storeMisses.Add(1)
-		p.obsStage(tc, trace.StageStoreMiss, start)
-		return nil, false
-	}
-	elapsed := time.Since(start)
-	v, err := decodeStored(key.kind, b)
-	if err != nil {
+	if err == nil {
 		// Undecodable content is a quarantine case the checksum cannot
 		// catch (e.g. a schema change): miss, recompute, overwrite.
-		p.metrics.storeMisses.Add(1)
-		p.obsStage(tc, trace.StageStoreMiss, start)
-		return nil, false
+		v, err = decodeStored(key.kind, b)
 	}
-	p.metrics.observeStore(tier, elapsed)
-	if tc != nil {
-		stage := trace.StageStoreMem
+	stage := trace.StageStoreMiss
+	if err == nil {
 		switch tier {
+		case store.TierMem:
+			stage = trace.StageStoreMem
 		case store.TierDisk:
 			stage = trace.StageStoreDisk
 		case store.TierPeer:
 			stage = trace.StageStorePeer
 		}
-		tc.Add(stage, elapsed)
-		p.metrics.observeStage(stage, elapsed)
+	}
+	p.obsStage(tc, stage, start)
+	if err != nil {
+		return nil, false
 	}
 	p.cache.put(key, v)
 	return v, true

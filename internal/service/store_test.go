@@ -105,8 +105,8 @@ func TestPlannerStoreRestartWarm(t *testing.T) {
 	if m2.StoreCorrupt != 0 {
 		t.Fatalf("store_corrupt_dropped=%d", m2.StoreCorrupt)
 	}
-	if m2.StoreDiskLatency.Count != n {
-		t.Fatalf("disk-tier latency histogram: %+v", m2.StoreDiskLatency)
+	if m2.Stages["store.disk"].Count != n {
+		t.Fatalf("store.disk stage: %+v", m2.Stages["store.disk"])
 	}
 
 	// The LRU was primed by the read-through: a second pass never touches
@@ -186,8 +186,8 @@ func TestStoreSharedAcrossPlanners(t *testing.T) {
 	if mB.StoreMemHits != 5 {
 		t.Fatalf("B mem hits %d", mB.StoreMemHits)
 	}
-	if mB.StoreMemLatency.Count != 5 {
-		t.Fatalf("B mem-tier latency histogram: %+v", mB.StoreMemLatency)
+	if mB.Stages["store.mem"].Count != 5 {
+		t.Fatalf("B store.mem stage: %+v", mB.Stages["store.mem"])
 	}
 }
 

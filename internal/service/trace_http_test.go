@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -27,7 +28,7 @@ func tracedServer(t *testing.T, extra func(*Config)) (*httptest.Server, *Planner
 	})
 }
 
-func getJSON(t *testing.T, ts *httptest.Server, path string, dst any) {
+func getBody(t *testing.T, ts *httptest.Server, path string) []byte {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + path)
 	if err != nil {
@@ -41,6 +42,12 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, dst any) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, body)
 	}
+	return body
+}
+
+func getJSON(t *testing.T, ts *httptest.Server, path string, dst any) {
+	t.Helper()
+	body := getBody(t, ts, path)
 	if err := json.Unmarshal(body, dst); err != nil {
 		t.Fatalf("GET %s: decoding %s: %v", path, body, err)
 	}
@@ -123,54 +130,91 @@ func TestTraceHeaderOnlyWhenKept(t *testing.T) {
 }
 
 // TestTraceStagesReconcile pins the attribution ledger inside one
-// /metrics document: every stage recorded outside the HTTP handler
-// (everything but decode) is covered by the endpoint latency sums,
-// and the stage map names only canonical stages.
+// /metrics document, traced or not: every stage recorded outside the HTTP
+// handler (everything but decode) is covered by the endpoint latency
+// sums, the stage map names only canonical stages, and the store and
+// cold-encode counters are the store.* and encode stage counts.
 func TestTraceStagesReconcile(t *testing.T) {
-	ts, p := tracedServer(t, nil)
-	for seed := int64(0); seed < 4; seed++ {
-		req := testInstance(t, "uniform", 4, 10, seed)
-		if resp, body := postJSON(t, ts, "/v1/plan", req); resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
-		}
-	}
-	// One cache hit and one estimate widen the stage mix.
-	postJSON(t, ts, "/v1/plan", testInstance(t, "uniform", 4, 10, 0))
-	est := testInstance(t, "uniform", 4, 10, 1)
-	postJSON(t, ts, "/v1/estimate", map[string]any{"instance": est.Instance, "trials": 50})
+	for _, tt := range []struct {
+		name   string
+		server func(*testing.T, func(*Config)) (*httptest.Server, *Planner)
+	}{{"traced", tracedServer}, {"untraced", newTestServer}} {
+		t.Run(tt.name, func(t *testing.T) {
+			// A one-entry LRU sends the repeat below to the store.
+			ts, p := tt.server(t, func(cfg *Config) {
+				cfg.CacheCap = 1
+				cfg.Store = store.NewMem(1<<20, 0)
+			})
+			for seed := int64(0); seed < 4; seed++ {
+				req := testInstance(t, "uniform", 4, 10, seed)
+				if resp, body := postJSON(t, ts, "/v1/plan", req); resp.StatusCode != http.StatusOK {
+					t.Fatalf("status %d: %s", resp.StatusCode, body)
+				}
+			}
+			// One store hit and one estimate widen the stage mix.
+			postJSON(t, ts, "/v1/plan", testInstance(t, "uniform", 4, 10, 0))
+			est := testInstance(t, "uniform", 4, 10, 1)
+			postJSON(t, ts, "/v1/estimate", map[string]any{"instance": est.Instance, "trials": 50})
 
-	snap := p.Metrics()
-	if len(snap.Stages) == 0 {
-		t.Fatal("no stage attribution in snapshot")
+			snap := p.Metrics()
+			if len(snap.Stages) == 0 {
+				t.Fatal("no stage attribution in snapshot")
+			}
+			known := make(map[string]bool)
+			for _, name := range trace.StageNames() {
+				known[name] = true
+			}
+			endpointSum := snap.PlanLatency.Sum + snap.EstLatency.Sum + snap.BatchLatency.Sum
+			var stageSum float64
+			for name, l := range snap.Stages {
+				if !known[name] {
+					t.Errorf("unknown stage %q in snapshot", name)
+				}
+				if l.Count == 0 || l.Sum < 0 {
+					t.Errorf("stage %q: empty snapshot %+v", name, l)
+				}
+				if name != "decode" {
+					stageSum += l.Sum
+				}
+			}
+			if stageSum > endpointSum {
+				t.Fatalf("stage sums %.6fs exceed endpoint sums %.6fs", stageSum, endpointSum)
+			}
+			for _, want := range []string{"decode", "solve", "round", "encode", "store.mem", "store.miss"} {
+				if _, ok := snap.Stages[want]; !ok {
+					t.Errorf("stage %q missing from snapshot (have %v)", want, snap.Stages)
+				}
+			}
+			st := snap.Stages
+			lookups := snap.StoreMemHits + snap.StoreDiskHits + snap.StorePeerHits + snap.StoreMisses
+			if want := st["store.mem"].Count + st["store.disk"].Count + st["store.peer"].Count + st["store.miss"].Count; lookups != want {
+				t.Errorf("store counters sum to %d, store.* stage counts to %d", lookups, want)
+			}
+			if snap.ColdEncodes != st["encode"].Count {
+				t.Errorf("cold_encodes %d, encode stage count %d", snap.ColdEncodes, st["encode"].Count)
+			}
+			if p.Tracer().Enabled() && (snap.Traced == 0 || snap.TraceSampled == 0 || snap.TraceRingKept == 0) {
+				t.Fatalf("trace ledger empty: traced=%d sampled=%d kept=%d",
+					snap.Traced, snap.TraceSampled, snap.TraceRingKept)
+			}
+			samples := checkPromExposition(t, getBody(t, ts, "/metrics?format=prom"))
+			if got := samples[`suu_stage_seconds_count{stage="solve"}`]; got != float64(snap.Stages["solve"].Count) {
+				t.Fatalf("prom solve stage count %v, snapshot says %d", got, snap.Stages["solve"].Count)
+			}
+		})
 	}
-	known := make(map[string]bool)
-	for _, name := range trace.StageNames() {
-		known[name] = true
+}
+
+// TestWarmupStaysOutOfStages pins that Warmup's probe solve is no request:
+// it leaves the stage ledger empty.
+func TestWarmupStaysOutOfStages(t *testing.T) {
+	p := smallPlanner(nil)
+	defer p.Close()
+	if err := p.Warmup(); err != nil {
+		t.Fatal(err)
 	}
-	endpointSum := snap.PlanLatency.Sum + snap.EstLatency.Sum + snap.BatchLatency.Sum
-	var stageSum float64
-	for name, l := range snap.Stages {
-		if !known[name] {
-			t.Errorf("unknown stage %q in snapshot", name)
-		}
-		if l.Count == 0 || l.Sum < 0 {
-			t.Errorf("stage %q: empty snapshot %+v", name, l)
-		}
-		if name != "decode" {
-			stageSum += l.Sum
-		}
-	}
-	if stageSum > endpointSum {
-		t.Fatalf("stage sums %.6fs exceed endpoint sums %.6fs", stageSum, endpointSum)
-	}
-	for _, want := range []string{"decode", "solve", "round", "encode"} {
-		if _, ok := snap.Stages[want]; !ok {
-			t.Errorf("stage %q missing from snapshot (have %v)", want, snap.Stages)
-		}
-	}
-	if snap.Traced == 0 || snap.TraceSampled == 0 || snap.TraceRingKept == 0 {
-		t.Fatalf("trace ledger empty: traced=%d sampled=%d kept=%d",
-			snap.Traced, snap.TraceSampled, snap.TraceRingKept)
+	if st := p.Metrics().Stages; len(st) != 0 {
+		t.Fatalf("Warmup recorded stages %v", st)
 	}
 }
 

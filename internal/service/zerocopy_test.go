@@ -175,7 +175,7 @@ func TestHTTPContentLength(t *testing.T) {
 
 // TestMetricsZeroCopyLedger drives one cold encode and one spliced hit
 // through HTTP and checks the serving ledger reconciles: both payload
-// byte buckets filled, the encode histogram populated, and exactly as
+// byte buckets filled, the encode stage populated, and exactly as
 // many splices as cache/coalesced serves.
 func TestMetricsZeroCopyLedger(t *testing.T) {
 	ts, p := newTestServer(t, nil)
@@ -195,7 +195,7 @@ func TestMetricsZeroCopyLedger(t *testing.T) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatalf("metrics decode: %v", err)
 	}
-	for _, key := range []string{"payload_bytes_served", "encode_ns", "frames_spliced", "cold_encodes"} {
+	for _, key := range []string{"payload_bytes_served", "stages", "frames_spliced", "cold_encodes"} {
 		if _, ok := m[key]; !ok {
 			t.Fatalf("/metrics missing %q", key)
 		}
@@ -205,8 +205,8 @@ func TestMetricsZeroCopyLedger(t *testing.T) {
 	if snap.ColdEncodes < 1 {
 		t.Fatalf("cold_encodes = %d, want >= 1", snap.ColdEncodes)
 	}
-	if snap.EncodeNS.Count < 1 {
-		t.Fatalf("encode_ns count = %d, want >= 1", snap.EncodeNS.Count)
+	if snap.Stages["encode"].Count < 1 {
+		t.Fatalf("encode stage count = %d, want >= 1", snap.Stages["encode"].Count)
 	}
 	if snap.PayloadBytes.ColdEncode == 0 || snap.PayloadBytes.EncodedCache == 0 {
 		t.Fatalf("payload bytes not split: cold=%d cache=%d",

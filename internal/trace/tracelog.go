@@ -32,9 +32,13 @@ const logVersion = 1
 // to 0 ("?") rather than failing.
 var opCodes = []string{"?", "plan", "estimate", "batch"}
 var outcomeCodes = []string{"?", OutcomeOK, OutcomeError, OutcomeRejected, OutcomeCanceled}
-var sourceCodes = []string{"", "cached", "computed", "coalesced", "degraded", "batch"}
 
-func code(table []string, s string) uint8 {
+// SourceCodes is the code table of serving sources, shared by the trace
+// log and internal/traffic's request recordings; 0 is "" (untraced).
+var SourceCodes = []string{"", "cached", "computed", "coalesced", "degraded", "batch"}
+
+// Code returns s's index in a code table, or 0 when s is not in it.
+func Code(table []string, s string) uint8 {
 	for i, v := range table {
 		if v == s {
 			return uint8(i)
@@ -43,7 +47,8 @@ func code(table []string, s string) uint8 {
 	return 0
 }
 
-func decode(table []string, c uint8) string {
+// Decode returns the table entry for c, or entry 0 when c is out of range.
+func Decode(table []string, c uint8) string {
 	if int(c) < len(table) {
 		return table[c]
 	}
@@ -86,9 +91,9 @@ func (lw *LogWriter) Append(rec *Record) {
 
 func appendLogRecord(b []byte, rec *Record) []byte {
 	b = append(b, logVersion,
-		code(opCodes, rec.Op),
-		code(outcomeCodes, rec.Outcome),
-		code(sourceCodes, rec.Source))
+		Code(opCodes, rec.Op),
+		Code(outcomeCodes, rec.Outcome),
+		Code(SourceCodes, rec.Source))
 	b = binary.LittleEndian.AppendUint64(b, rec.ID.Hi)
 	b = binary.LittleEndian.AppendUint64(b, rec.ID.Lo)
 	b = binary.LittleEndian.AppendUint64(b, rec.FPHi)
@@ -144,9 +149,9 @@ func decodeLogRecord(b []byte) (Record, bool) {
 	if len(b) < 53 || b[0] != logVersion {
 		return rec, false
 	}
-	rec.Op = decode(opCodes, b[1])
-	rec.Outcome = decode(outcomeCodes, b[2])
-	rec.Source = decode(sourceCodes, b[3])
+	rec.Op = Decode(opCodes, b[1])
+	rec.Outcome = Decode(outcomeCodes, b[2])
+	rec.Source = Decode(SourceCodes, b[3])
 	rec.ID.Hi = binary.LittleEndian.Uint64(b[4:])
 	rec.ID.Lo = binary.LittleEndian.Uint64(b[12:])
 	rec.FPHi = binary.LittleEndian.Uint64(b[20:])

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/framelog"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -50,28 +51,11 @@ const (
 const maxTraceRecord = 1 << 20
 
 // Closed code tables keep request records compact; unknown strings map to
-// 0 ("?") rather than failing.
+// 0 ("?") rather than failing. Sources use the trace log's table.
 var (
 	traceOps      = []string{"?", "plan", "estimate", "plan-batch"}
 	traceOutcomes = []string{"?", "ok", "error", "rejected"}
-	traceSources  = []string{"", "cached", "computed", "coalesced", "degraded", "batch"}
 )
-
-func traceCode(table []string, s string) uint8 {
-	for i, v := range table {
-		if v == s {
-			return uint8(i)
-		}
-	}
-	return 0
-}
-
-func traceDecode(table []string, c uint8) string {
-	if int(c) < len(table) {
-		return table[c]
-	}
-	return table[0]
-}
 
 // Header describes a recorded run: enough to regenerate the exact bodies
 // the requests index into, plus the shape labels a summarizer reports.
@@ -104,9 +88,9 @@ const requestPayloadLen = 1 + 1 + 3 + 4 + 4 + 8 + 8
 // appendRequest encodes one request frame payload.
 func appendRequest(b []byte, r *Request) []byte {
 	b = append(b, traceVersion, recTypeRequest,
-		traceCode(traceOps, r.Op),
-		traceCode(traceOutcomes, r.Outcome),
-		traceCode(traceSources, r.Source))
+		trace.Code(traceOps, r.Op),
+		trace.Code(traceOutcomes, r.Outcome),
+		trace.Code(trace.SourceCodes, r.Source))
 	b = binary.LittleEndian.AppendUint32(b, r.Spec)
 	b = binary.LittleEndian.AppendUint32(b, r.Items)
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.Rel))
@@ -119,9 +103,9 @@ func decodeRequest(b []byte) (Request, bool) {
 	if len(b) != requestPayloadLen || b[0] != traceVersion || b[1] != recTypeRequest {
 		return r, false
 	}
-	r.Op = traceDecode(traceOps, b[2])
-	r.Outcome = traceDecode(traceOutcomes, b[3])
-	r.Source = traceDecode(traceSources, b[4])
+	r.Op = trace.Decode(traceOps, b[2])
+	r.Outcome = trace.Decode(traceOutcomes, b[3])
+	r.Source = trace.Decode(trace.SourceCodes, b[4])
 	r.Spec = binary.LittleEndian.Uint32(b[5:])
 	r.Items = binary.LittleEndian.Uint32(b[9:])
 	r.Rel = time.Duration(binary.LittleEndian.Uint64(b[13:]))
