@@ -134,8 +134,8 @@
 // chunking); batch and streaming-estimate responses stream through pooled
 // fixed-size buffers, so response memory cost is bounded by the buffer,
 // not the batch. /metrics splits payload_bytes_served by
-// encoded_cache/cold_encode, counts frames_spliced and cold_encodes, and
-// distributes encode cost in the encode_ns histogram.
+// encoded_cache/cold_encode and counts frames_spliced and cold_encodes;
+// the encode cost is the "encode" entry of its stages map.
 //
 // The request side mirrors this: the HTTP handlers capture each request's
 // instance as raw JSON and resolve it through a byte-keyed, 32 MiB
@@ -147,28 +147,35 @@
 //
 // # Observability
 //
-// Every request the HTTP layer accepts can carry a trace context
-// (internal/trace): a 128-bit ID plus per-stage duration/count
-// aggregates for the pipeline stages — decode, queue, flight,
-// store.mem, store.disk, store.peer, store.miss, solve, round, encode,
-// degrade. Contexts are pooled and refcounted; with tracing disabled
-// (Config.TraceSample == 0 and no ring/log), Tracer.Begin returns nil
-// and every downstream call is a nil-check — the library default, and
-// what keeps the zero-copy serving benchmarks at their committed
-// allocation counts.
+// Every request's pipeline stages — decode, queue, flight, store.mem,
+// store.disk, store.peer, store.miss, solve, round, encode, degrade — are
+// timed into per-stage latency histograms, whatever the trace sampling
+// rate: one clock read per span, no allocation. These histograms are the
+// one server-side record of stage time; /metrics' store hit/miss counters
+// and cold_encodes are their sample counts. Warmup's probe solve is not a
+// request and stays out.
 //
-// The same trace data surfaces four ways, all views of one ledger:
+// A request the HTTP layer accepts can also carry a trace context
+// (internal/trace): a 128-bit ID plus the same per-stage duration/count
+// aggregates for that one request. Contexts are pooled and refcounted;
+// with tracing disabled (Config.TraceSample == 0 and no ring/log),
+// Tracer.Begin returns nil and every trace call is a nil-check — the
+// library default, and what keeps the zero-copy serving benchmarks at
+// their committed allocation counts. Sampling decides only which traces
+// are kept, never what the stage histograms record.
 //
-//   - /metrics grows a "stages" map of per-stage latency summaries plus
-//     trace counters (traced, sampled, forced, ring/slow kept, log
-//     records/bytes). GET /metrics?format=prom renders the identical
-//     snapshot as Prometheus text exposition (suu_ prefix, counters as
-//     _total, latencies as summaries with quantile labels and _sum/_count,
-//     stages as one suu_stage_seconds{stage="..."} family). Because stage
-//     observation happens only for traced requests and inside the same
-//     endpoint clock, the stage _sum lines (decode excepted — it is
-//     measured in the handler, before the planner's clock starts)
-//     reconcile against the endpoint latency _sum within one scrape.
+// Stage and trace data surface four ways, all views of one ledger:
+//
+//   - /metrics carries a "stages" map of per-stage latency summaries plus,
+//     while tracing is on, trace counters (traced, sampled, forced,
+//     ring/slow kept, log records/bytes). GET /metrics?format=prom renders
+//     the identical snapshot as Prometheus text exposition (suu_ prefix,
+//     counters as _total, latencies as summaries with quantile labels and
+//     _sum/_count, stages as one suu_stage_seconds{stage="..."} family).
+//     Because every stage is observed inside the same endpoint clock, the
+//     stage _sum lines (decode excepted — it is measured in the handler,
+//     before the planner's clock starts) reconcile against the endpoint
+//     latency _sum within one scrape.
 //   - Sampled responses carry an X-Suu-Trace header: the trace ID, the
 //     serving source (cached/computed/coalesced/degraded/batch), the
 //     total, and each nonzero stage as <stage>=<µs>[x<count>]. The client

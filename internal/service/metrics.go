@@ -12,8 +12,9 @@ import (
 )
 
 // Metrics is the planner's instrumentation: monotone counters on atomics
-// (hot path: one Add each) and per-endpoint latency histograms behind one
-// small mutex. Snapshot assembles the expvar-style view /metrics serves.
+// (hot path: one Add each) and per-endpoint and per-stage latency
+// histograms behind one small mutex. Snapshot assembles the expvar-style
+// view /metrics serves.
 type Metrics struct {
 	start     time.Time
 	plans     atomic.Uint64 // completed /v1/plan computations or cache hits
