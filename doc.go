@@ -50,11 +50,12 @@
 // revised-simplex solver — compressed-column constraint storage, an
 // LU-factorized basis with product-form eta updates, and candidate-list
 // partial pricing (internal/lp, the only engine; a dense tableau survives
-// in its tests as the differential reference) — plus the warm-start chain
-// that seeds SUU-T's decomposition block k+1 from block k's machine rows.
-// SEM's round re-solves run cold, so each survivor set's rounding is a
-// pure function of (instance, survivors, target) and rounding.Cache
-// shares it across trials and requests. The rounding path
+// in its tests as the differential reference). Every relaxation starts
+// cold: SEM's round re-solves, so each survivor set's rounding is a pure
+// function of (instance, survivors, target) and rounding.Cache shares it
+// across trials and requests, and SUU-T's per-block LP2 solves, so each
+// block's rounding is a pure function of (instance, chains) and
+// rounding.LP2Cache shares it across trials. The rounding path
 // (roundByFlow's group sums, flow network, and edge lists) runs on
 // workspace scratch too, so steady-state trials allocate only their
 // escaping results. The sparse engine turned

@@ -36,7 +36,8 @@ import (
 type Chains struct {
 	// LP1Cache memoizes the LP1 roundings of the long-job batches.
 	LP1Cache *rounding.Cache
-	// LP2Cache memoizes the (deterministic, per-instance) LP2 rounding.
+	// LP2Cache memoizes the LP2 rounding, one per chain set (SUU-T: one
+	// per decomposition block).
 	LP2Cache *rounding.LP2Cache
 	// LongJobs finishes each segment's long-job batch; nil means SEM
 	// (the paper's choice).
@@ -56,8 +57,8 @@ type Chains struct {
 	// trials share the policy value).
 	OnStats func(ChainsStats)
 
-	// pool hands each concurrent RunChains a solver workspace for the
-	// (cached, once-per-instance) LP2 rounding.
+	// pool hands each concurrent RunChains a solver workspace for its
+	// (cached, once per instance and chain set) LP2 rounding.
 	pool rounding.WorkspacePool
 	// defLong is the lazily-built default long-job runner; sharing one SEM
 	// across trials keeps its cache and solver workspaces warm.
@@ -122,27 +123,16 @@ type chainState struct {
 
 // RunChains runs the SUU-C machinery over an explicit set of disjoint
 // chains. All chain jobs must be uncompleted and their outside-chain
-// predecessors complete. The LP2 warm chain starts fresh: standalone SUU-C
-// solves one (LP2), so there is no previous block to seed from (SUU-T
-// instead threads one workspace through all its blocks via runChains).
+// predecessors complete. SUU-T calls it once per decomposition block; the
+// block's LP2 is solved cold, so its rounding depends only on the chains.
 func (c *Chains) RunChains(w *sim.World, chains []dag.Chain) error {
-	ws := c.pool.Get()
-	defer c.pool.Put(ws)
-	ws.BeginLP2()
-	return c.runChains(w, chains, ws)
-}
-
-// runChains is RunChains on an explicit workspace, whose LP2 warm chain
-// seeds this block's solve from the blocks the caller already ran through
-// it (SUU-T calls this once per decomposition block with one per-trial
-// workspace, so block k+1's machine rows warm-start from block k the way
-// SEM's round re-solves warm-start from the previous round).
-func (c *Chains) runChains(w *sim.World, chains []dag.Chain, ws *rounding.Workspace) error {
 	if len(chains) == 0 {
 		return nil
 	}
 	ins := w.Instance()
+	ws := c.pool.Get()
 	r, err := c.LP2Cache.RoundLP2Ws(ws, ins, chains)
+	c.pool.Put(ws)
 	if err != nil {
 		return err
 	}

@@ -13,8 +13,9 @@ package core
 //     equal instances decoded separately share entries, and its LRU
 //     eviction can only cost a recompute — safe.
 //   - rounding.WorkspacePool: sync.Pool of exclusively-held workspaces;
-//     SEM's Begin() and Forest's BeginLP2() reset chain state on
-//     acquisition, so no trial observes another's warm chain — safe.
+//     every LP1 and LP2 solve starts cold, so a workspace carries only
+//     arenas from one holder to the next, never solver state a result
+//     could depend on — safe.
 //   - SEM/OBL/Chains/Forest/Layered: configuration is read-only after
 //     construction; per-trial state lives in locals and the World; lazy
 //     defaults (defLong, defEngine, defInner) are built under sync.Once —

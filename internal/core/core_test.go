@@ -333,6 +333,49 @@ func TestForestOnChainsAndIndependent(t *testing.T) {
 	runPolicy(t, p, uniformInstance(t, 13, 3, 8), 1)
 }
 
+// TestForestBlockRoundingsShared: SUU-T solves every block's LP2 cold, so
+// each block's rounding is keyed by its chains alone. After a Monte Carlo
+// run fills a shared LP2Cache, a RoundLP2Ws lookup of each decomposition
+// block on a fresh workspace must hit — its solver runs no solve — and
+// return the rounding a standalone RoundLP2 of the block computes.
+func TestForestBlockRoundingsShared(t *testing.T) {
+	for _, fam := range []string{"forest", "in-forest"} {
+		for seed := int64(1); seed <= 4; seed++ {
+			ins, err := workload.Generate(workload.Spec{Family: fam, M: 8, N: 40, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache := rounding.NewLP2Cache()
+			p := &Forest{Engine: &Chains{LP1Cache: rounding.NewCache(), LP2Cache: cache}}
+			if _, err := sim.MonteCarlo(ins, p, 4, seed, 1); err != nil {
+				t.Fatal(err)
+			}
+			blocks, err := ins.Prec.DecomposeForest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for bi, block := range blocks {
+				ws := rounding.NewWorkspace()
+				r, err := cache.RoundLP2Ws(ws, ins, []dag.Chain(block))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s := ws.Solver(); s.ColdSolves+s.WarmSolves != 0 {
+					t.Fatalf("%s seed %d block %d of %d: standalone lookup missed", fam, seed, bi, len(blocks))
+				}
+				ref, err := rounding.RoundLP2(ins, []dag.Chain(block))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.TFrac != ref.TFrac || !reflect.DeepEqual(r.Assignment, ref.Assignment) {
+					t.Fatalf("%s seed %d block %d: cached t* %v, standalone %v (or assignments differ)",
+						fam, seed, bi, r.TFrac, ref.TFrac)
+				}
+			}
+		}
+	}
+}
+
 func TestLayeredMapReduce(t *testing.T) {
 	ins, err := workload.MapReduce(rand.New(rand.NewSource(14)), 4, 6, 4)
 	if err != nil {

@@ -54,16 +54,8 @@ func (f *Forest) Run(w *sim.World) error {
 	if err != nil {
 		return fmt.Errorf("core: %s: %w", f.Name(), err)
 	}
-	// One workspace spans the whole block sequence, so each block's LP2
-	// warm-starts from the previous block's basis (the LP2 cross-block
-	// chain); the chain reset keeps trials independent — every trial
-	// replays the same block sequence, so cache keys (which include the
-	// chain history) stay deterministic across workers.
-	ws := engine.pool.Get()
-	defer engine.pool.Put(ws)
-	ws.BeginLP2()
 	for bi, block := range blocks {
-		if err := engine.runChains(w, []dag.Chain(block), ws); err != nil {
+		if err := engine.RunChains(w, []dag.Chain(block)); err != nil {
 			return fmt.Errorf("core: %s block %d: %w", f.Name(), bi, err)
 		}
 	}

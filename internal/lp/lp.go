@@ -38,9 +38,9 @@
 // numerical trouble — a hinted column that cannot be pivoted in, an
 // artificial stuck basic at a positive value, loss of both primal and dual
 // feasibility — abandons the warm path and falls back to a cold solve, so
-// SolveWarm is exactly as robust as Solve and differs only in speed. This
-// is the engine behind the shrinking-subset/doubling-target re-solves of
-// SUU-I-SEM and the cross-block LP2 chain of SUU-T (see internal/rounding).
+// SolveWarm is exactly as robust as Solve and differs only in speed. Its
+// one caller is LP2 row generation, which re-solves after appending the
+// cap rows a solution violates (see internal/rounding).
 package lp
 
 import (

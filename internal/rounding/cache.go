@@ -180,32 +180,28 @@ const (
 func hashJobs(jobs []int) uint64 {
 	h := uint64(fnvOffset64)
 	for _, j := range jobs {
-		v := uint64(uint32(j))
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		h = (h ^ ((v >> 8) & 0xff)) * fnvPrime64
-		h = (h ^ ((v >> 16) & 0xff)) * fnvPrime64
-		h = (h ^ ((v >> 24) & 0xff)) * fnvPrime64
+		h = fnvID(h, j)
 	}
 	return rng.Mix64(h)
 }
 
-// mix2 combines two hashes order-dependently.
-func mix2(a, b uint64) uint64 {
-	return rng.Mix64(a ^ (b + rng.Golden))
+// fnvID is one FNV-1a step over the four little-endian bytes of id.
+func fnvID(h uint64, id int) uint64 {
+	v := uint64(uint32(id))
+	h = (h ^ (v & 0xff)) * fnvPrime64
+	h = (h ^ ((v >> 8) & 0xff)) * fnvPrime64
+	h = (h ^ ((v >> 16) & 0xff)) * fnvPrime64
+	return (h ^ ((v >> 24) & 0xff)) * fnvPrime64
 }
 
 // LP2Cache memoizes RoundLP2 results. SUU-C's LP2 assignment depends only
-// on the instance, its chain structure, and (under SUU-T's cross-block
-// warm chain) the sequence of blocks solved before it — never on a random
-// outcome — so one solve serves every Monte Carlo trial. It stays an
-// unbounded map rather than an lru.Cache: it holds one entry per SUU-T
-// decomposition block, and it lives for one computation (the service
-// builds a fresh one per estimate), so there is nothing to evict and no
-// budget to enforce. Keys mix in the workspace's LP2 chain history, which
-// keeps every trial's rounding a deterministic function of its block
-// sequence even though warm and cold solves may land on different optimal
-// vertices.
-// Safe for concurrent use.
+// on the instance and its chain structure — never on a random outcome or
+// on what the solving workspace solved before — so one solve serves every
+// Monte Carlo trial, and each SUU-T decomposition block gets one entry.
+// It stays an unbounded map rather than an lru.Cache: it holds one entry
+// per block, and it lives for one computation (the service builds a fresh
+// one per estimate), so there is nothing to evict and no budget to
+// enforce. Safe for concurrent use.
 type LP2Cache struct {
 	mu sync.Mutex
 	m  map[lp2Key]*LP2Result
@@ -224,11 +220,7 @@ func hashChains(chains []dag.Chain) (uint64, int) {
 	n := 0
 	for _, ch := range chains {
 		for _, j := range ch {
-			v := uint64(uint32(j))
-			h = (h ^ (v & 0xff)) * fnvPrime64
-			h = (h ^ ((v >> 8) & 0xff)) * fnvPrime64
-			h = (h ^ ((v >> 16) & 0xff)) * fnvPrime64
-			h = (h ^ ((v >> 24) & 0xff)) * fnvPrime64
+			h = fnvID(h, j)
 			n++
 		}
 		h = (h ^ 0x1ff) * fnvPrime64 // chain separator, outside the id byte range
@@ -251,28 +243,20 @@ func (c *LP2Cache) RoundLP2(ins *model.Instance, chains []dag.Chain) (*LP2Result
 }
 
 // RoundLP2Ws is RoundLP2 computing misses on the caller's workspace — a
-// Monte Carlo worker's LP2 miss reuses its trial stream's solver — solved
-// as the next block of the workspace's LP2 warm chain, which it advances
-// past the block (on hits too, from the cached basis, so a trial's chain
-// state is identical whether its blocks computed or hit).
+// Monte Carlo worker's LP2 miss reuses its trial stream's solver. The
+// solve is cold, so the cached value is a pure function of the key.
 func (c *LP2Cache) RoundLP2Ws(ws *Workspace, ins *model.Instance, chains []dag.Chain) (*LP2Result, error) {
-	h, n := hashChains(chains)
 	if c == nil {
-		r, err := roundLP2(ins, chains, ws)
-		if err != nil {
-			return nil, err
-		}
-		ws.advanceLP2(ins, r.Basis, n, h)
-		return r, nil
+		return roundLP2(ins, chains, ws)
 	}
-	key := lp2Key{ins: ins, n: n, h: ws.lp2KeyHash(h)}
+	h, n := hashChains(chains)
+	key := lp2Key{ins: ins, n: n, h: h}
 	c.mu.Lock()
-	if r, ok := c.m[key]; ok {
-		c.mu.Unlock()
-		ws.advanceLP2(ins, r.Basis, n, h)
+	r, ok := c.m[key]
+	c.mu.Unlock()
+	if ok {
 		return r, nil
 	}
-	c.mu.Unlock()
 	r, err := roundLP2(ins, chains, ws)
 	if err != nil {
 		return nil, err
@@ -280,7 +264,6 @@ func (c *LP2Cache) RoundLP2Ws(ws *Workspace, ins *model.Instance, chains []dag.C
 	c.mu.Lock()
 	c.m[key] = r
 	c.mu.Unlock()
-	ws.advanceLP2(ins, r.Basis, n, h)
 	return r, nil
 }
 

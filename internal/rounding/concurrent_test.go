@@ -150,7 +150,6 @@ func TestConcurrentLP2Cache(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				ws := pool.Get()
-				ws.BeginLP2()
 				r, err := cache.RoundLP2Ws(ws, ins, chains)
 				pool.Put(ws)
 				if err != nil {

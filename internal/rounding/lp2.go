@@ -25,11 +25,6 @@ type LP2Result struct {
 	Load int64
 	// Repairs counts post-rounding fix-up steps (0 in practice).
 	Repairs int
-	// Basis is the LP solver's optimal basis for the relaxation (see
-	// lp.Solution.Basis), recorded so SUU-T's next decomposition block can
-	// seed its machine rows from this one (the LP2 cross-block warm chain;
-	// see Workspace).
-	Basis []int
 }
 
 // SolveLP2 solves the relaxation of (LP2):
@@ -204,9 +199,6 @@ func (ws *Workspace) solveLP2(ins *model.Instance, chains []dag.Chain) ([][]floa
 	}
 	k := len(jobs)
 	if k == 0 {
-		// No solve happened; clear the last-basis slot so an empty block
-		// can never publish a previous block's basis through LP2Result.
-		ws.lp2LastBasis = nil
 		return make([][]float64, m), nil, nil, 0, nil
 	}
 	x := make([][]float64, m)
@@ -217,7 +209,6 @@ func (ws *Workspace) solveLP2(ins *model.Instance, chains []dag.Chain) ([][]floa
 	for pos := 0; pos < k; pos++ {
 		dstar[pos] = 1 + sol.X[lp2E(pos)]
 	}
-	ws.lp2LastBasis = sol.Basis
 	return x, dstar, jobs, sol.Obj, nil
 }
 
@@ -225,15 +216,11 @@ func (ws *Workspace) solveLP2(ins *model.Instance, chains []dag.Chain) ([][]floa
 // the final solve's Solution with the flattened job list (nil Solution for
 // an empty job list).
 //
-// The first solve covers the core rows only, warm-started from the LP2
-// cross-block chain when one is recorded. SUU-T solves one (LP2) per
-// forest-decomposition block on the same machine set; the blocks' job sets
-// are disjoint, so job columns carry nothing across, but the machine rows
-// do: the previous block's machine-row basics (slack vs t) are remapped
-// onto this block's machine rows and every other row defaults to its own
-// slack/artificial, exactly the Workspace treatment SEM's LP1 rounds get.
-// Advancing the chain is the caller's job (advanceLP2), so cache hits can
-// advance it identically.
+// The first solve covers the core rows only and is cold, so the result
+// depends only on (instance, chains), never on what the workspace solved
+// before: SUU-T's decomposition blocks each solve from scratch, and a
+// block's rounding is shared by every trial and every caller that solves
+// the same chains.
 //
 // Each round then appends every cap the solution violates, in (machine,
 // position) order, and re-solves warm from the previous basis with the
@@ -257,12 +244,7 @@ func (ws *Workspace) lp2Solution(ins *model.Instance, chains []dag.Chain) (*lp.S
 	}
 	m, k := ins.M, len(jobs)
 	coreRows, coreTerms := len(p.Cons), len(ws.terms)
-	var sol *lp.Solution
-	if ws.lp2Compatible(ins) {
-		sol, err = ws.solver.SolveWarm(p, ws.buildLP2Hint(ins, k, coreRows))
-	} else {
-		sol, err = ws.solver.Solve(p)
-	}
+	sol, err := ws.solver.Solve(p)
 	var budget, spent int
 	for round, full := 0, false; ; round++ {
 		if err != nil {
@@ -277,8 +259,7 @@ func (ws *Workspace) lp2Solution(ins *model.Instance, chains []dag.Chain) (*lp.S
 			return sol, jobs, nil
 		}
 		if round == 0 {
-			// A warm-started core solve can take very few pivots; the
-			// core's row count floors the budget's pivot estimate.
+			// The core's row count floors the budget's pivot estimate.
 			budget = int(lp2WorkBudget * float64(max(sol.Iters, coreRows)*(coreRows+m*k)))
 		}
 		prevRows := len(p.Cons)
@@ -320,75 +301,10 @@ func (ws *Workspace) lp2Solution(ins *model.Instance, chains []dag.Chain) (*lp.S
 	}
 }
 
-// lp2Compatible reports whether the LP2 chain can seed a solve on this
-// instance: same instance (hence same machine set) and a recorded basis.
-func (ws *Workspace) lp2Compatible(ins *model.Instance) bool {
-	return ws.lp2Ins == ins && len(ws.lp2Basis) > 0
-}
-
-// buildLP2Hint remaps the previous block's machine-row basis entries onto
-// the new block's nRows rows: machine row i keeps its basic column when
-// that was its own slack or the t variable; every other row (cover, chain
-// and any generated cap — all tied to departed jobs) gets NoHint and
-// defaults to its initial slack/artificial. Both blocks' rows start with
-// the core rows, so machine row i sits at k+i whatever caps either block
-// generated.
-func (ws *Workspace) buildLP2Hint(ins *model.Instance, k, nRows int) []int {
-	m := ins.M
-	prevK := ws.lp2K
-	hint := resizeInts(ws.lp2Hint, nRows)
-	ws.lp2Hint = hint
-	for r := range hint {
-		hint[r] = lp.NoHint
-	}
-	for i := 0; i < m; i++ {
-		e := ws.lp2Basis[prevK+i]
-		switch {
-		case e == lp2T:
-			hint[k+i] = lp2T
-		case e != lp.NoHint && e < 0:
-			if rr := -1 - e; rr >= prevK && rr < prevK+m {
-				hint[k+i] = -1 - (k + (rr - prevK))
-			}
-		}
-	}
-	return hint
-}
-
-// BeginLP2 resets the LP2 cross-block chain. Call it before the first
-// block of an independent block sequence (SUU-T does, once per trial) so
-// chain state never leaks between Monte Carlo trials.
-func (ws *Workspace) BeginLP2() {
-	ws.lp2Ins = nil
-	ws.lp2Basis = nil
-	ws.lp2K = 0
-	ws.lp2Hash = 0
-}
-
-// advanceLP2 records a solved block as the new chain tail so the next
-// block's machine rows can warm-start from it. An empty basis (empty
-// block) resets the chain instead.
-func (ws *Workspace) advanceLP2(ins *model.Instance, basis []int, k int, chainsHash uint64) {
-	if len(basis) == 0 || k == 0 {
-		ws.BeginLP2()
-		return
-	}
-	ws.lp2Ins = ins
-	ws.lp2Basis = basis
-	ws.lp2K = k
-	ws.lp2Hash = mix2(ws.lp2Hash, chainsHash)
-}
-
-// lp2KeyHash is the cache-key hash for solving this chain structure as the
-// next block of the workspace's LP2 chain. With no chain history it equals
-// the plain structure hash, so a sequence's first (cold, deterministic)
-// block shares its cache entry with standalone SUU-C callers.
-func (ws *Workspace) lp2KeyHash(chainsHash uint64) uint64 {
-	if ws.lp2Hash != 0 {
-		return mix2(ws.lp2Hash, chainsHash)
-	}
-	return chainsHash
-}
+// BeginLP2 is a no-op. LP2 solves carry no state from one block to the
+// next, so a block sequence needs no reset; the method remains for
+// existing callers.
+func (ws *Workspace) BeginLP2() {}
 
 // RoundLP2 implements Lemma 6: the Lemma 2 rounding with per-job edge
 // capacities ⌈6d*_j⌉ in the flow network, which keeps every chain's total
@@ -429,6 +345,5 @@ func roundLP2(ins *model.Instance, chains []dag.Chain, ws *Workspace) (*LP2Resul
 		TFrac:      tstar,
 		Load:       asn.MaxLoad(),
 		Repairs:    repairs,
-		Basis:      ws.lp2LastBasis,
 	}, nil
 }

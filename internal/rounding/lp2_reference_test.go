@@ -164,7 +164,7 @@ func checkMatchesFull(t *testing.T, name string, ins *model.Instance, chains []d
 // relaxation (buildLP2Full) on the golden corpus's LP2 shapes, the
 // scenario harness's chain and forest shapes, and the three chain
 // families at the chain-plan shape. Forest instances run their
-// decomposition blocks as SUU-T does, through the cross-block warm chain.
+// decomposition blocks in order on one workspace, as SUU-T does.
 func TestLP2RowGenMatchesFull(t *testing.T) {
 	solve := func(name string, ins *model.Instance, chains []dag.Chain) {
 		t.Helper()
@@ -177,14 +177,11 @@ func TestLP2RowGenMatchesFull(t *testing.T) {
 	blocks := func(name string, ins *model.Instance, blocks [][]dag.Chain) {
 		t.Helper()
 		ws := NewWorkspace()
-		ws.BeginLP2()
 		for bi, block := range blocks {
 			x, d, jobs, tstar, err := ws.solveLP2(ins, block)
 			if err != nil {
 				t.Fatalf("%s block %d: %v", name, bi, err)
 			}
-			h, _ := hashChains(block)
-			ws.advanceLP2(ins, ws.lp2LastBasis, len(jobs), h)
 			if len(jobs) > 0 {
 				checkMatchesFull(t, fmt.Sprintf("%s block %d", name, bi), ins, block, x, d, tstar)
 			}

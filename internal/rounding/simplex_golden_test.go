@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/dag"
 	"repro/internal/lp"
 	"repro/internal/model"
 	"repro/internal/workload"
@@ -34,12 +33,12 @@ const simplexGoldenPath = "testdata/simplex_trace.json"
 //     each the final solve of row generation (lp2Solution);
 //   - one SEM re-solve sequence (full set, then survivor subsets at
 //     doubling targets), each solved cold on one workspace as SEM does;
-//   - one SUU-T forest block sequence, each block's (LP2) warm-started from
-//     the previous block's machine rows, then row-generated.
+//   - one SUU-T forest block sequence, each block's (LP2) row-generated
+//     from a cold core solve on one workspace, as SUU-T does.
 func simplexCorpus(t *testing.T) []simplexTrace {
 	t.Helper()
 	var out []simplexTrace
-	record := func(name string, sol *lp.Solution, err error) *lp.Solution {
+	record := func(name string, sol *lp.Solution, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -54,7 +53,6 @@ func simplexCorpus(t *testing.T) []simplexTrace {
 			ObjBits: math.Float64bits(sol.Obj),
 			X:       append([]float64(nil), sol.X...),
 		})
-		return sol
 	}
 	gen := func(family string, m, n int, seed int64) *model.Instance {
 		t.Helper()
@@ -111,18 +109,12 @@ func simplexCorpus(t *testing.T) []simplexTrace {
 	{
 		ins, blocks := forestBlocks(t, 4)
 		ws := NewWorkspace()
-		ws.BeginLP2()
 		for bi, block := range blocks {
 			sol, jobs, err := ws.lp2Solution(ins, block)
 			if err == nil && len(jobs) == 0 {
 				continue
 			}
-			sol = record(fmt.Sprintf("suut-blocks/block%d", bi), sol, err)
-			h, _ := hashChains([]dag.Chain(block))
-			ws.advanceLP2(ins, sol.Basis, len(jobs), h)
-		}
-		if ws.solver.WarmSolves+ws.solver.WarmFallbacks == 0 {
-			t.Fatal("SUU-T block sequence never attempted a warm solve")
+			record(fmt.Sprintf("suut-blocks/block%d", bi), sol, err)
 		}
 	}
 	return out

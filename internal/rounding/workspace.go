@@ -13,11 +13,12 @@ import (
 // Workspace is a per-goroutine LP engine for the paper's relaxations. It
 // owns a reusable lp.Solver (sparse simplex state, grown monotonically —
 // see package lp) and arenas for building the LP1/LP2 constraint rows
-// without per-solve allocation. Every LP1 solve is cold, so an LP1
-// rounding depends only on (instance, jobs, L) — never on what the
-// workspace solved before — and SEM's survivor roundings share cache
-// entries across trials. LP2 keeps a warm chain across SUU-T's forest
-// blocks (see solveLP2).
+// without per-solve allocation. Every LP1 and LP2 solve starts cold, so
+// an LP1 rounding depends only on (instance, jobs, L) and an LP2 rounding
+// only on (instance, chains) — never on what the workspace solved before.
+// SEM's survivor roundings and SUU-T's block roundings therefore share
+// cache entries across trials. The only warm solves are LP2 row
+// generation's re-solves within one relaxation (see lp2Solution).
 //
 // A Workspace is not safe for concurrent use. Monte Carlo workers should
 // each hold one for their whole trial stream; WorkspacePool hands them out.
@@ -34,17 +35,10 @@ type Workspace struct {
 	fpIns *model.Instance
 	fp    sched.Fingerprint
 
-	// LP2 cross-block warm chain (see solveLP2): the previous forest-
-	// decomposition block this workspace solved, whose machine-row basis
-	// seeds the next block's solve.
-	lp2Ins       *model.Instance
-	lp2Basis     []int
-	lp2K         int     // previous block's flattened job count
-	lp2Hash      uint64  // block-sequence history, keys chained cache entries
-	lp2Jobs      []int   // flattened-job-list arena for buildLP2
-	lp2Pos       []int32 // buildLP2 scratch: job id -> position, -1 if absent
-	lp2LastBasis []int   // basis recorded by the most recent solveLP2
-	lp2Hint      []int   // warm-start hint arena for SolveWarm
+	// LP2 build and row-generation arenas (see buildLP2, lp2Solution).
+	lp2Jobs []int   // flattened job list
+	lp2Pos  []int32 // job id -> position, -1 if absent
+	lp2Hint []int   // re-solve basis hint for SolveWarm
 
 	// LP2 row-generation diagnostics (see lp2Solution), cumulative over
 	// the workspace's life and readable between solves like lp.Solver's

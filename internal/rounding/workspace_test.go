@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dag"
 	"repro/internal/workload"
 )
 
@@ -175,5 +176,20 @@ func TestHashJobsDistinct(t *testing.T) {
 			jobs[i] = rng.Intn(256)
 		}
 		record(jobs)
+	}
+}
+
+// TestHashValuesPinned pins hashJobs and hashChains, which share one
+// FNV-1a step, to recorded values, so a change to either hash is
+// deliberate.
+func TestHashValuesPinned(t *testing.T) {
+	if h := hashJobs([]int{0, 1, 2, 255, 256, 70000, 1 << 24}); h != 0x346ccdb39760aaed {
+		t.Errorf("hashJobs = %#x, want 0x346ccdb39760aaed", h)
+	}
+	if h, n := hashChains([]dag.Chain{{3, 1}, {}, {0, 300, 1 << 20}}); h != 0x8c294cc812ed6086 || n != 5 {
+		t.Errorf("hashChains = %#x, %d; want 0x8c294cc812ed6086, 5", h, n)
+	}
+	if a, b := hashJobs(nil), uint64(0xf52a15e9a9b5e89b); a != b {
+		t.Errorf("hashJobs(nil) = %#x, want %#x", a, b)
 	}
 }

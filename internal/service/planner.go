@@ -964,7 +964,6 @@ func (p *Planner) solvePlan(ins *model.Instance, fp sched.Fingerprint, target fl
 		if err != nil {
 			return nil, nil, err
 		}
-		ws.BeginLP2()
 		r, err := (*rounding.LP2Cache)(nil).RoundLP2Ws(ws, ins, chains)
 		if err != nil {
 			return nil, nil, err
