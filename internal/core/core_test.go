@@ -355,15 +355,16 @@ func TestForestBlockRoundingsShared(t *testing.T) {
 				t.Fatal(err)
 			}
 			for bi, block := range blocks {
+				chains := []dag.Chain(block)
 				ws := rounding.NewWorkspace()
-				r, err := cache.RoundLP2Ws(ws, ins, []dag.Chain(block))
+				r, err := cache.RoundLP2Ws(ws, ins, chains)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if s := ws.Solver(); s.ColdSolves+s.WarmSolves != 0 {
 					t.Fatalf("%s seed %d block %d of %d: standalone lookup missed", fam, seed, bi, len(blocks))
 				}
-				ref, err := rounding.RoundLP2(ins, []dag.Chain(block))
+				ref, err := rounding.RoundLP2(ins, chains)
 				if err != nil {
 					t.Fatal(err)
 				}
