@@ -201,14 +201,24 @@ func fnvID(h uint64, id int) uint64 {
 // It stays an unbounded map rather than an lru.Cache: it holds one entry
 // per block, and it lives for one computation (the service builds a fresh
 // one per estimate), so there is nothing to evict and no budget to
-// enforce. Safe for concurrent use.
+// enforce. Like Cache, each entry stores what it was solved for — the
+// chain structure — and a lookup must match it exactly, so a 64-bit hash
+// collision is a miss, never a wrong rounding. Safe for concurrent use.
 type LP2Cache struct {
 	mu sync.Mutex
-	m  map[lp2Key]*LP2Result
+	m  map[lp2Key]lp2Entry
+}
+
+// lp2Entry is one memoized rounding and its chains flattened: each
+// chain's ids followed by a -1 separator.
+type lp2Entry struct {
+	flat []int
+	res  *LP2Result
 }
 
 // lp2Key hashes the chain structure (ids with per-chain separators) the
-// same way cacheKey hashes job subsets.
+// same way cacheKey hashes job subsets. The entry's flattened chains
+// resolve hash collisions.
 type lp2Key struct {
 	ins *model.Instance
 	n   int // total jobs across chains
@@ -228,9 +238,21 @@ func hashChains(chains []dag.Chain) (uint64, int) {
 	return rng.Mix64(h), n
 }
 
+// matches reports whether e was solved for exactly chains.
+func (e lp2Entry) matches(chains []dag.Chain) bool {
+	k := 0
+	for _, ch := range chains {
+		if len(e.flat) < k+len(ch)+1 || !slices.Equal(e.flat[k:k+len(ch)], ch) || e.flat[k+len(ch)] != -1 {
+			return false
+		}
+		k += len(ch) + 1
+	}
+	return k == len(e.flat)
+}
+
 // NewLP2Cache returns an empty cache.
 func NewLP2Cache() *LP2Cache {
-	return &LP2Cache{m: make(map[lp2Key]*LP2Result)}
+	return &LP2Cache{m: make(map[lp2Key]lp2Entry)}
 }
 
 // RoundLP2 returns the memoized rounding for (ins, chains), computing it on
@@ -252,17 +274,23 @@ func (c *LP2Cache) RoundLP2Ws(ws *Workspace, ins *model.Instance, chains []dag.C
 	h, n := hashChains(chains)
 	key := lp2Key{ins: ins, n: n, h: h}
 	c.mu.Lock()
-	r, ok := c.m[key]
+	e, ok := c.m[key]
 	c.mu.Unlock()
-	if ok {
-		return r, nil
+	if ok && e.matches(chains) {
+		return e.res, nil
 	}
 	r, err := roundLP2(ins, chains, ws)
 	if err != nil {
 		return nil, err
 	}
+	// The new entry takes the slot from whatever held it: a concurrent
+	// miss's identical result, or the loser of a hash collision.
+	flat := make([]int, 0, n+len(chains))
+	for _, ch := range chains {
+		flat = append(append(flat, ch...), -1)
+	}
 	c.mu.Lock()
-	c.m[key] = r
+	c.m[key] = lp2Entry{flat: flat, res: r}
 	c.mu.Unlock()
 	return r, nil
 }

@@ -426,6 +426,45 @@ func TestLP2CacheReuse(t *testing.T) {
 	}
 }
 
+// TestLP2CacheCollisionIsMiss plants, under the key of one chain
+// structure, an entry solved for another with the same job count — what a
+// 64-bit hash collision would leave — and checks that RoundLP2Ws
+// recomputes instead of serving the planted rounding.
+func TestLP2CacheCollisionIsMiss(t *testing.T) {
+	g, chains := chainsOf(4, 2) // {0 1} {2 3}
+	ins := randomInstance(rand.New(rand.NewSource(6)), 2, 4, g)
+	planted := &LP2Result{TFrac: -1}
+	c := NewLP2Cache()
+	h, n := hashChains(chains)
+	key := lp2Key{ins: ins, n: n, h: h}
+	// Solved for {0} {1 2 3}: the same four jobs, split differently.
+	c.m[key] = lp2Entry{flat: []int{0, -1, 1, 2, 3, -1}, res: planted}
+	if c.m[key].matches(chains) {
+		t.Fatalf("the planted entry matches the queried chains %v", chains)
+	}
+	if !(lp2Entry{flat: []int{0, 1, -1, 2, 3, -1}}).matches(chains) {
+		t.Fatalf("an entry solved for %v does not match them", chains)
+	}
+	ws := NewWorkspace()
+	got, err := c.RoundLP2Ws(ws, ins, chains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == planted {
+		t.Fatal("a colliding entry was served as the rounding")
+	}
+	want, err := (*LP2Cache)(nil).RoundLP2Ws(NewWorkspace(), ins, chains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.TFrac != want.TFrac {
+		t.Fatalf("recomputed t* = %v, want %v", got.TFrac, want.TFrac)
+	}
+	if again, _ := c.RoundLP2Ws(ws, ins, chains); again != got {
+		t.Fatal("the recomputed rounding did not take the colliding slot")
+	}
+}
+
 func TestLP2LowerBoundSanity(t *testing.T) {
 	// A chain of length 5 with perfect machines still needs ≥ 5 steps:
 	// t* must be at least the chain length.

@@ -4,12 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
-	"repro/internal/dag"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -30,16 +26,6 @@ func itemCost(ins *model.Instance) int {
 		c = 1
 	}
 	return c
-}
-
-// planCost prices a plan miss, single or batch item alike, and rejects
-// one over the per-item budget as a bad request.
-func (p *Planner) planCost(ins *model.Instance) (int, error) {
-	c := itemCost(ins)
-	if c > p.cfg.MaxItemCost {
-		return c, badRequestf("item cost %d units (n=%d, m=%d) over the per-item budget %d", c, ins.N, ins.M, p.cfg.MaxItemCost)
-	}
-	return c, nil
 }
 
 // BatchPlanRequest asks for rounded schedules for a list of instances in
@@ -99,24 +85,6 @@ type BatchPlanResponse struct {
 	Items     []BatchItemResult `json:"items"`
 }
 
-// batchGroup is one unique requestKey's worth of batch items: idxs are the
-// item positions sharing the key (intra-batch duplicates dedupe here,
-// before any flight registration), cost its admission charge once it
-// missed the cache.
-type batchGroup struct {
-	key    requestKey
-	idxs   []int
-	cost   int
-	ins    *model.Instance
-	fp     sched.Fingerprint
-	target float64
-	class  dag.Class
-
-	val    *cachedFrame
-	err    error
-	source string
-}
-
 // PlanBatch computes (or serves from cache) rounded schedules for every
 // item of req. Batch-level errors are reserved for the request itself
 // (malformed envelope, overload, shutdown, a gone client); anything wrong
@@ -128,14 +96,11 @@ func (p *Planner) PlanBatch(ctx context.Context, req *BatchPlanRequest) (*BatchP
 
 // planBatchServe is PlanBatch with the request's trace context; the HTTP
 // layer passes its Ctx, library callers go through PlanBatch with nil.
-func (p *Planner) planBatchServe(ctx context.Context, req *BatchPlanRequest, tc *trace.Ctx) (*BatchPlanResponse, error) {
-	if err := p.begin(); err != nil {
-		return nil, err
-	}
-	defer p.end()
-	start := time.Now()
-	resp, err := p.planBatch(ctx, req, tc)
-	p.metrics.observeBatch(time.Since(start), resp, err)
+func (p *Planner) planBatchServe(ctx context.Context, req *BatchPlanRequest, tc *trace.Ctx) (resp *BatchPlanResponse, err error) {
+	err = p.serve(kindBatch, func() (*BatchPlanResponse, error) {
+		resp, err = p.planBatch(ctx, req, tc)
+		return resp, err
+	})
 	return resp, err
 }
 
@@ -150,129 +115,40 @@ func (p *Planner) planBatch(ctx context.Context, req *BatchPlanRequest, tc *trac
 		return nil, err
 	}
 
-	items := make([]BatchItemResult, len(req.Items))
-
 	// Validate every item and dedupe by content key: duplicate items —
 	// within the batch or across different decodings of the same instance —
 	// collapse onto one group before anything touches the flight table.
-	groups := make(map[requestKey]*batchGroup)
-	var order []*batchGroup
+	// of maps each item to its group, or to -1 when it failed validation.
+	items := make([]BatchItemResult, len(req.Items))
+	of := make([]int, len(req.Items))
+	gs := make([]group, 0, len(req.Items))
+	index := make(map[requestKey]int)
 	for i := range req.Items {
-		ins, target, class, err := p.validatePlan(&req.Items[i])
+		g, err := p.planGroup(&req.Items[i])
 		if err != nil {
 			items[i] = BatchItemResult{Status: "error", Error: err.Error()}
+			of[i] = -1
 			continue
 		}
-		fp := sched.FingerprintInstance(ins)
-		key := requestKey{fp: fp, kind: kindPlan, target: target}
-		g, ok := groups[key]
-		if !ok {
-			g = &batchGroup{key: key, ins: ins, fp: fp, target: target, class: class}
-			groups[key] = g
-			order = append(order, g)
+		k, ok := index[g.key]
+		if ok {
+			gs[k].n++
+		} else {
+			k = len(gs)
+			index[g.key] = k
+			gs = append(gs, g)
 		}
-		g.idxs = append(g.idxs, i)
+		of[i] = k
 	}
 
-	// Pass 1 — peek the cache (uncounted: if admission rejects the batch
-	// below, no response is delivered and no hit may be claimed) and price
-	// the remaining work. Under brownout pressure, eligible miss groups
-	// take the degraded fallback here — free of admission charge, exactly
-	// like the single path.
-	var misses []*batchGroup
-	totalCost, kept := 0, 0
-	degradeNow := p.pressure() >= p.cfg.BrownoutThreshold
-	for _, g := range order {
-		if v, ok := p.cache.peek(g.key); ok {
-			g.val, g.source = v.(*cachedFrame), sourceCached
-			continue
-		}
-		if g.cost, g.err = p.planCost(g.ins); g.err != nil {
-			continue
-		}
-		if degradeNow && p.degradeAllowed(g.class) {
-			// Tag now, mint after admission settles: if the batch's
-			// non-degradable remainder rejects below, no response is
-			// delivered and no degraded serve may be counted.
-			g.source = sourceDegraded
-			continue
-		}
-		misses = append(misses, g)
-		totalCost += g.cost
-		if !p.degradeAllowed(g.class) {
-			kept += g.cost
-		}
-	}
-
-	// Admission weighs items, not requests: the batch charges the summed
-	// cost of its to-be-computed items against the same queue budget a
-	// single plan's cost counts against. If the line filled between the
-	// pressure check and here, degrade-eligible groups take the fallback
-	// and only the remainder is charged.
-	degrade, err := p.admit(totalCost, kept)
-	if err != nil {
-		return nil, fmt.Errorf("%w (batch of %d cost units)", err, kept)
-	}
-	if degrade {
-		keep := misses[:0]
-		for _, g := range misses {
-			if p.degradeAllowed(g.class) {
-				g.source = sourceDegraded
-			} else {
-				keep = append(keep, g)
-			}
-		}
-		misses, totalCost = keep, kept
-	}
-
-	// The batch is fully admitted; mint the degraded fallbacks tagged
-	// above. Building them after admission keeps the degraded-serve
-	// counter equal to fallbacks actually delivered.
-	for _, g := range order {
-		if g.source == sourceDegraded {
-			var sv served
-			sv, g.err = p.degradedServe(g.ins, g.fp, g.target, g.class, tc)
-			g.val = sv.cf
-		}
-	}
-
-	// The batch is admitted: now record per-item cache accounting. Misses
-	// land before any coalesced counts can (the fan-out below), keeping
-	// coalesced ≤ misses — and the reported hit rate ≤ 1 — within any one
-	// /metrics document.
-	for _, g := range order {
-		switch {
-		case g.source == sourceCached:
-			p.cache.hits.Add(uint64(len(g.idxs)))
-		case g.err == nil:
-			p.cache.misses.Add(uint64(len(g.idxs)))
-		}
-	}
-
-	// Fan the misses across the worker pool, one resolver per unique key,
-	// coalescing against in-flight singles and other batches through the
-	// one flight table. A deadline expiry is the item's error; the
-	// computation then runs on only while some other caller wants it.
+	// A deadline expiry is an item's error; the computation then runs on
+	// only while some other caller wants it.
 	dctx, cancel := withDeadlineMS(ctx, req.DeadlineMS)
 	defer cancel()
-	var wg sync.WaitGroup
-	for _, g := range misses {
-		wg.Add(1)
-		go func(g *batchGroup) {
-			defer wg.Done()
-			cf, follower, shared, err := p.resolve(dctx, g.key, g.cost, nil, tc, func(abandoned <-chan struct{}, _ func(Progress)) (any, error) {
-				return p.computePlan(g.ins, g.fp, g.target, g.class, abandoned, tc)
-			})
-			g.val, g.err, g.source = cf, err, sourceComputed
-			if follower || shared {
-				g.source = sourceCoalesced
-			}
-			if err != nil && errors.Is(err, dctx.Err()) {
-				g.err = fmt.Errorf("item unfinished at the batch deadline: %w", err)
-			}
-		}(g)
+	units, err := p.serveGroups(dctx, gs, tc)
+	if err != nil {
+		return nil, fmt.Errorf("%w (batch of %d cost units)", err, units)
 	}
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		// The client is gone; the response has no reader. Each resolver
 		// already left its flight: work other callers still want runs to
@@ -281,47 +157,34 @@ func (p *Planner) planBatch(ctx context.Context, req *BatchPlanRequest, tc *trac
 		return nil, err
 	}
 
-	resp := &BatchPlanResponse{Size: len(req.Items), CostUnits: totalCost, Items: items}
-	for _, g := range order {
-		if g.err != nil {
-			for _, i := range g.idxs {
-				items[i] = BatchItemResult{Status: "error", Error: g.err.Error()}
-			}
-			continue
-		}
-		plan := g.val.val.(*PlanResponse)
-		for k, i := range g.idxs {
-			src := g.source
-			if src == sourceComputed && k > 0 {
-				src = sourceCoalesced // intra-batch duplicate of the computed item
-			}
-			items[i] = BatchItemResult{Status: "ok", Source: src, Plan: plan, frame: g.val.frame}
-		}
-	}
-	coalescedItems := 0
-	for i := range items {
-		switch {
-		case items[i].Status == "error":
+	resp := &BatchPlanResponse{Size: len(req.Items), CostUnits: units, Items: items}
+	for i, k := range of {
+		if k < 0 {
 			resp.Errors++
 			continue
-		case items[i].Source == sourceCached:
+		}
+		g := &gs[k]
+		if err := g.err; err != nil {
+			if errors.Is(err, dctx.Err()) {
+				err = fmt.Errorf("item unfinished at the batch deadline: %w", err)
+			}
+			items[i] = BatchItemResult{Status: "error", Error: err.Error()}
+			resp.Errors++
+			continue
+		}
+		items[i] = BatchItemResult{Status: "ok", Source: g.source, Plan: g.cf.val.(*PlanResponse), frame: g.cf.frame}
+		resp.OK++
+		switch g.source {
+		case sourceCached:
 			resp.Cached++
-		case items[i].Source == sourceComputed:
+		case sourceComputed:
 			resp.Computed++
-		case items[i].Source == sourceDegraded:
+			g.source = sourceCoalesced // later items are intra-batch duplicates
+		case sourceDegraded:
 			resp.Degraded++
 		default:
 			resp.Coalesced++
-			coalescedItems++
 		}
-		resp.OK++
-	}
-	// Items served off shared work (flight followers, raced-cache peeks,
-	// intra-batch duplicates) recorded a miss above but recomputed
-	// nothing; fold them into the shared-work bucket exactly like the
-	// single path's servedOf.
-	if coalescedItems > 0 {
-		p.metrics.coalesced.Add(uint64(coalescedItems))
 	}
 	return resp, nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -331,4 +333,187 @@ func TestBatchCoalescesWithInFlightSingle(t *testing.T) {
 	if computes := snap.CacheMisses - snap.Coalesced; computes != 1 {
 		t.Fatalf("computes = %d (misses=%d coalesced=%d)", computes, snap.CacheMisses, snap.Coalesced)
 	}
+}
+
+// servedOutcome is one request's observable result: the envelope status,
+// how it was served, its canonical payload (serving flags false), its
+// error, and the deltas of the counters a request may move.
+type servedOutcome struct {
+	status int
+	source string
+	frame  string
+	err    string
+	delta  [5]uint64 // cache hits, cache misses, coalesced, degraded, rejected
+}
+
+func counters(p *Planner) [5]uint64 {
+	s := p.Metrics()
+	return [5]uint64{s.CacheHits, s.CacheMisses, s.Coalesced, s.Degraded, s.Rejected}
+}
+
+// TestSingleMatchesBatchOfOne: /v1/plan serves exactly what a one-item
+// /v1/plan/batch serves — the same payload bytes, the same source, the
+// same item error, and the same moves of the hit, miss, coalesced,
+// degraded and rejected counters — cold, warm, coalesced onto a flight,
+// brownout-degraded, rejected with 429 at a full queue, and over the
+// per-item budget. A request that gets no response records no hit or miss.
+func TestSingleMatchesBatchOfOne(t *testing.T) {
+	small := testInstance(t, "uniform", 4, 8, 41)
+	big := testInstance(t, "uniform", 4, 300, 41) // n·m = 1200: 2 cost units
+	fill := func(p *Planner) { p.queued.Add(int64(p.cfg.QueueDepth)) }
+	rows := []struct {
+		name   string
+		cfg    func(*Config)
+		req    *PlanRequest
+		setup  func(t *testing.T, p *Planner)
+		joined func(p *Planner) // runs while the measured request is in flight
+		status int
+		source string
+		delta  [5]uint64
+	}{
+		{name: "cold", req: small, status: 200, source: sourceComputed, delta: [5]uint64{0, 1, 0, 0, 0}},
+		{name: "warm", req: small, status: 200, source: sourceCached, delta: [5]uint64{1, 0, 0, 0, 0},
+			setup: func(t *testing.T, p *Planner) {
+				if _, err := p.Plan(context.Background(), small); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "coalesced", req: small, status: 200, source: sourceCoalesced, delta: [5]uint64{0, 1, 1, 0, 0},
+			setup: func(t *testing.T, p *Planner) {
+				p.slots <- struct{}{} // stall the only worker: the leader stays in flight
+				go func() { _, _ = p.Plan(context.Background(), small) }()
+				waitFlight(p, func(n, dups int) bool { return n == 1 })
+			},
+			joined: func(p *Planner) {
+				waitFlight(p, func(n, dups int) bool { return dups == 1 })
+				<-p.slots
+			}},
+		{name: "degraded", req: small, status: 200, source: sourceDegraded, delta: [5]uint64{0, 1, 0, 1, 0},
+			cfg:   func(c *Config) { c.DegradedPolicy = DegradeIndependent },
+			setup: func(t *testing.T, p *Planner) { fill(p) }},
+		{name: "full-queue-429", req: small, status: http.StatusTooManyRequests, delta: [5]uint64{0, 0, 0, 0, 1},
+			setup: func(t *testing.T, p *Planner) { fill(p) }},
+		{name: "over-item-cost", req: big, status: http.StatusBadRequest,
+			cfg: func(c *Config) { c.MaxItemCost = 1 }},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			serve := func(batch bool) servedOutcome {
+				ts, p := newTestServer(t, func(c *Config) {
+					c.Workers, c.QueueDepth = 1, 4
+					if row.cfg != nil {
+						row.cfg(c)
+					}
+				})
+				if row.setup != nil {
+					row.setup(t, p)
+				}
+				before := counters(p)
+				if row.joined != nil {
+					go row.joined(p)
+				}
+				out := postServed(t, ts, row.req, batch)
+				if row.joined != nil {
+					// The leader finishes after the follower is served.
+					for p.Metrics().InFlight != 0 {
+						runtime.Gosched()
+					}
+				}
+				after := counters(p)
+				for i := range out.delta {
+					out.delta[i] = after[i] - before[i]
+				}
+				return out
+			}
+			single, batch := serve(false), serve(true)
+			if single.status != row.status || single.source != row.source || single.delta != row.delta {
+				t.Fatalf("single: status %d source %q deltas %v, want %d %q %v (%s)",
+					single.status, single.source, single.delta, row.status, row.source, row.delta, single.err)
+			}
+			switch row.status {
+			case http.StatusBadRequest:
+				// A batch reports a per-item error under a 200 envelope.
+				batch.status = http.StatusBadRequest
+			case http.StatusTooManyRequests:
+				// A batch's rejection names the charge it refused.
+				if !strings.HasPrefix(batch.err, single.err+" (batch of") {
+					t.Fatalf("batch rejection %q, single %q", batch.err, single.err)
+				}
+				batch.err = single.err
+			}
+			if single != batch {
+				t.Fatalf("single and batch of one differ:\nsingle %+v\nbatch  %+v", single, batch)
+			}
+		})
+	}
+}
+
+// waitFlight spins until the flight table satisfies ok, given its entry
+// count and its total followers.
+func waitFlight(p *Planner, ok func(n, dups int) bool) {
+	for {
+		p.flight.mu.Lock()
+		n, dups := len(p.flight.m), 0
+		for _, c := range p.flight.m {
+			dups += c.dups
+		}
+		p.flight.mu.Unlock()
+		if ok(n, dups) {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// postServed sends req to /v1/plan, or as a one-item /v1/plan/batch, and
+// reduces the response to its servedOutcome (deltas left zero).
+func postServed(t *testing.T, ts *httptest.Server, req *PlanRequest, batch bool) servedOutcome {
+	t.Helper()
+	if !batch {
+		resp, body := postJSON(t, ts, "/v1/plan", req)
+		out := servedOutcome{status: resp.StatusCode}
+		if resp.StatusCode != http.StatusOK {
+			var eb errorBody
+			_ = json.Unmarshal(body, &eb)
+			out.err = eb.Error
+			return out
+		}
+		var pr PlanResponse
+		if err := json.Unmarshal(body, &pr); err != nil {
+			t.Fatal(err)
+		}
+		frame := strings.TrimSuffix(string(body), "\n")
+		switch {
+		case pr.Cached:
+			out.source, frame = sourceCached, strings.TrimSuffix(frame, `"cached":true}`)+frameTail
+		case pr.Coalesced:
+			out.source, frame = sourceCoalesced, strings.TrimSuffix(frame, `"cached":false,"coalesced":true}`)+frameTail
+		case pr.Degraded:
+			out.source = sourceDegraded
+		default:
+			out.source = sourceComputed
+		}
+		out.frame = frame
+		return out
+	}
+	resp, body := postJSON(t, ts, "/v1/plan/batch", &BatchPlanRequest{Items: []PlanRequest{*req}})
+	out := servedOutcome{status: resp.StatusCode}
+	if resp.StatusCode != http.StatusOK {
+		var eb errorBody
+		_ = json.Unmarshal(body, &eb)
+		out.err = eb.Error
+		return out
+	}
+	var env struct {
+		Items []struct {
+			Status, Source, Error string
+			Plan                  json.RawMessage
+		}
+	}
+	if err := json.Unmarshal(body, &env); err != nil || len(env.Items) != 1 {
+		t.Fatalf("batch envelope %s: %v", body, err)
+	}
+	it := env.Items[0]
+	out.source, out.frame, out.err = it.Source, string(it.Plan), it.Error
+	return out
 }

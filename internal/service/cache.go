@@ -9,10 +9,13 @@ import (
 	"repro/internal/sched"
 )
 
-// request kinds, part of every cache/singleflight key.
+// Request kinds. Plan and estimate are part of every cache/singleflight
+// key; batch names only the endpoint, whose items key as plans.
 const (
 	kindPlan = iota + 1
 	kindEstimate
+	kindBatch
+	numKinds
 )
 
 // requestKey identifies a cacheable response: the instance fingerprint
@@ -55,9 +58,10 @@ const planCacheShards = 16
 type planCache struct {
 	lru  *lru.Cache[requestKey, any]
 	hits atomic.Uint64
-	// misses counts every get that found nothing — including callers that
-	// then coalesce onto another request's flight. Metrics.snapshot folds
-	// the coalesced count back in when it reports the hit rate.
+	// misses counts every admitted request that found nothing — including
+	// callers that then coalesce onto another request's flight.
+	// Metrics.snapshot folds the coalesced count back in when it reports
+	// the hit rate.
 	misses atomic.Uint64
 }
 
@@ -66,20 +70,11 @@ func newPlanCache(cap int) *planCache {
 	return &planCache{lru: lru.New[requestKey, any](planCacheShards, int64(cap), requestKey.hash)}
 }
 
-// get returns the cached response for k, bumping it to most-recently-used.
-func (c *planCache) get(k requestKey) (any, bool) {
-	v, ok := c.peek(k)
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return v, ok
-}
-
-// peek is get without touching the hit/miss counters: the flight leader's
-// late re-check (see resolve) serves a racing flight's cached result
-// without double-counting a request that already recorded its miss.
+// peek returns the cached response for k, bumping it to most-recently-used,
+// without touching the hit/miss counters: serveGroups records those once
+// admission settles, and resolve's late re-check serves a racing flight's
+// cached result without double-counting a request that already recorded
+// its miss.
 func (c *planCache) peek(k requestKey) (any, bool) { return c.lru.Get(k) }
 
 // put inserts (or replaces) k's response, evicting the least recently

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -31,20 +33,41 @@ func TestPlanCacheDistinguishesParams(t *testing.T) {
 		c.put(k, i)
 	}
 	for i, k := range keys {
-		v, ok := c.get(k)
+		v, ok := c.peek(k)
 		if !ok || v.(int) != i {
 			t.Fatalf("key %d aliased or lost (got %v, %v)", i, v, ok)
 		}
 	}
 }
 
+// TestPlanCacheHitMissCounters: peeks never count; serveGroups counts a
+// hit or a miss per request its groups stand for, and none for a group
+// that got no response.
 func TestPlanCacheHitMissCounters(t *testing.T) {
-	c := newPlanCache(8)
-	c.put(planKeyN(1), 1)
-	c.get(planKeyN(1))
-	c.get(planKeyN(2))
-	if h, m := c.hits.Load(), c.misses.Load(); h != 1 || m != 1 {
-		t.Fatalf("hits/misses = %d/%d", h, m)
+	p := smallPlanner(func(c *Config) { c.MaxItemCost = 1 })
+	defer p.Close()
+	c := p.cache
+	c.put(planKeyN(1), testFrame(t, &PlanResponse{}))
+	c.peek(planKeyN(1))
+	c.peek(planKeyN(2))
+	if h, m := c.hits.Load(), c.misses.Load(); h != 0 || m != 0 {
+		t.Fatalf("peeks counted: hits/misses = %d/%d", h, m)
+	}
+	small := testInstance(t, "uniform", 2, 4, 1).Instance
+	big := testInstance(t, "uniform", 4, 300, 1).Instance // 2 cost units
+	gs := []group{
+		{key: planKeyN(1), n: 2, cost: 1},                           // a hit for two items
+		{key: planKeyN(2), ins: small, n: 1, cost: itemCost(small)}, // a miss, computed
+		{key: planKeyN(3), ins: big, n: 1, cost: itemCost(big)},     // over budget: no response
+	}
+	if _, err := p.serveGroups(context.Background(), gs, nil); err != nil {
+		t.Fatal(err)
+	}
+	if gs[1].err != nil || gs[1].source != sourceComputed || !errors.Is(gs[2].err, ErrBadRequest) {
+		t.Fatalf("outcomes: %v/%q, %v", gs[1].err, gs[1].source, gs[2].err)
+	}
+	if h, m := c.hits.Load(), c.misses.Load(); h != 2 || m != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 2/1", h, m)
 	}
 }
 
@@ -63,7 +86,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 				if i%3 == 0 {
 					c.put(k, fmt.Sprintf("g%d-%d", g, i))
 				} else {
-					c.get(k)
+					c.peek(k)
 				}
 			}
 		}(g)

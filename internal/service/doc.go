@@ -49,8 +49,17 @@
 //     ("cached"/"computed"/"coalesced") in the per-item envelope. A batch
 //     is charged the summed cost of its to-be-computed items in one
 //     admission, so a batch of heavy instances sheds load like the many
-//     requests it is; a single plan miss is admitted and resolved as a
-//     batch of one.
+//     requests it is.
+//   - One serve path: /v1/plan and /v1/estimate are served as a batch of
+//     one. Every endpoint runs the same pipeline (Planner.serveGroups) —
+//     peek the cache, price, tag brownout groups, one admission, mint the
+//     fallbacks, account, resolve — so a single is accepted, charged,
+//     degraded, rejected and counted exactly as the same item in a batch,
+//     and its payload bytes are the batch item's with the serving flags
+//     spliced in. Hits and misses are recorded only once admission has let
+//     a request through: a request rejected with 429 or priced over
+//     Config.MaxItemCost records neither. The first (for a single, the
+//     only) miss resolves on the caller's goroutine.
 //   - Metrics counts everything (hits, misses, coalesced, rejected,
 //     in-flight, per-item batch outcomes, a batch-size distribution) and
 //     records per-endpoint latency in stats.Histogram; Server exposes it

@@ -98,14 +98,6 @@ func (s *Server) writePayload(w http.ResponseWriter, sv served) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// writeError maps planner errors onto status codes. Context cancellations
-// mean the client is gone; the write is best-effort.
-//
-// Retry semantics, as a retrying client should read them: 429 and 503
-// carry Retry-After and are safe to retry (planning is idempotent); 422
-// means the instance is beyond what any engine here can solve — retrying
-// the same request is useless; 4xx never retries; 408 means the server
-// gave up at the client's own deadline.
 // injectedHeader mirrors faults.Header without importing the chaos
 // tooling into the serving path, the same way the client package mirrors
 // it on the read side.
@@ -117,6 +109,14 @@ const injectedHeader = "X-Suu-Injected"
 // grepping body text.
 type injectedFault interface{ InjectedFault() bool }
 
+// writeError maps planner errors onto status codes. Context cancellations
+// mean the client is gone; the write is best-effort.
+//
+// Retry semantics, as a retrying client should read them: 429 and 503
+// carry Retry-After and are safe to retry (planning is idempotent); 422
+// means the instance is beyond what any engine here can solve — retrying
+// the same request is useless; 4xx never retries; 408 means the server
+// gave up at the client's own deadline.
 func writeError(w http.ResponseWriter, err error) {
 	var inj injectedFault
 	if errors.As(err, &inj) && inj.InjectedFault() {

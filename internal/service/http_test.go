@@ -101,7 +101,7 @@ func TestHTTPPlanGolden(t *testing.T) {
 }
 
 func TestHTTPEstimateGolden(t *testing.T) {
-	ts, _ := newTestServer(t, nil)
+	ts, p := newTestServer(t, nil)
 	ins := testInstance(t, "uniform", 4, 8, 17).Instance
 	resp, body := postJSON(t, ts, "/v1/estimate", &EstimateRequest{
 		Instance: ins, Policy: "sem", Trials: 25, Seed: 6,
@@ -122,6 +122,23 @@ func TestHTTPEstimateGolden(t *testing.T) {
 	if got.Mean != direct.Mean || got.Median != direct.Median || got.Policy != "sem" ||
 		got.Trials != 25 || got.Seed != 6 || got.Fingerprint != direct.Fingerprint {
 		t.Errorf("estimate over HTTP %+v differs from direct %+v", got, direct)
+	}
+
+	// At a full queue a fresh estimate is rejected with 429 and, getting
+	// no response, records no cache miss.
+	before := p.Metrics()
+	p.queued.Add(int64(p.cfg.QueueDepth))
+	resp, body = postJSON(t, ts, "/v1/estimate", &EstimateRequest{
+		Instance: ins, Policy: "sem", Trials: 25, Seed: 7,
+	})
+	p.queued.Add(-int64(p.cfg.QueueDepth))
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("full queue: status %d, Retry-After %q: %s", resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	after := p.Metrics()
+	if after.Rejected != before.Rejected+1 || after.CacheMisses != before.CacheMisses || after.CacheHits != before.CacheHits {
+		t.Errorf("full queue: rejected %d→%d, misses %d→%d, hits %d→%d", before.Rejected, after.Rejected,
+			before.CacheMisses, after.CacheMisses, before.CacheHits, after.CacheHits)
 	}
 }
 

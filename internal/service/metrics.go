@@ -17,8 +17,6 @@ import (
 // view /metrics serves.
 type Metrics struct {
 	start     time.Time
-	plans     atomic.Uint64 // completed /v1/plan computations or cache hits
-	estimates atomic.Uint64 // same for /v1/estimate
 	errors    atomic.Uint64 // requests that failed server-side
 	canceled  atomic.Uint64 // callers that gave up waiting (client's doing, not ours)
 	rejected  atomic.Uint64 // admission-control rejections (429s)
@@ -54,9 +52,11 @@ type Metrics struct {
 	decodeHits   atomic.Uint64
 	decodeMisses atomic.Uint64
 
-	mu      sync.Mutex
-	planLat *stats.Histogram
-	estLat  *stats.Histogram
+	// Per-endpoint completed requests and latency, indexed by kind (plan,
+	// estimate, batch) under one mutex.
+	mu       sync.Mutex
+	requests [numKinds]uint64
+	lat      [numKinds]*stats.Histogram
 
 	// Per-stage latency, indexed by trace.Stage, under the same mutex:
 	// the one server-side record of stage time. Every stage of every
@@ -67,18 +67,16 @@ type Metrics struct {
 	stageLat [trace.NumStages]*stats.Histogram
 
 	// Batch accounting lives under mu as plain counters (not atomics):
-	// observeBatch updates the whole family plus two histograms in one
+	// observe updates the whole family plus two histograms in one
 	// critical section, and snapshot reads under the same lock — so one
 	// /metrics document always reconciles exactly:
 	// batchItems = cached + computed + coalesced + degraded + errors.
-	batches             uint64 // completed /v1/plan/batch requests
 	batchItems          uint64 // items across completed batches
 	batchItemsCached    uint64 // items served from the response LRU
 	batchItemsComputed  uint64 // items whose batch led the computation
 	batchItemsCoalesced uint64 // items served off shared work (flights, intra-batch duplicates)
 	batchItemsDegraded  uint64 // items served the brownout fallback
 	batchItemErrors     uint64 // per-item failures (validation, budget, compute, deadline)
-	batchLat            *stats.Histogram
 	batchSize           *stats.Histogram
 }
 
@@ -89,12 +87,9 @@ func newMetrics() *Metrics {
 	if err != nil {
 		panic(err) // static parameters; cannot fail
 	}
-	m := &Metrics{
-		start:     time.Now(),
-		planLat:   stats.NewLatencyHistogram(),
-		estLat:    stats.NewLatencyHistogram(),
-		batchLat:  stats.NewLatencyHistogram(),
-		batchSize: sizeHist,
+	m := &Metrics{start: time.Now(), batchSize: sizeHist}
+	for k := kindPlan; k < numKinds; k++ {
+		m.lat[k] = stats.NewLatencyHistogram()
 	}
 	for i := range m.stageLat {
 		m.stageLat[i] = stats.NewLatencyHistogram()
@@ -138,47 +133,28 @@ func (m *Metrics) observeFailure(err error) {
 	}
 }
 
-// observe records one finished request of the given kind.
-func (m *Metrics) observe(kind uint8, d time.Duration, err error) {
-	if err != nil {
-		m.observeFailure(err)
-		return
-	}
-	var h *stats.Histogram
-	switch kind {
-	case kindPlan:
-		m.plans.Add(1)
-		h = m.planLat
-	case kindEstimate:
-		m.estimates.Add(1)
-		h = m.estLat
-	}
-	if h != nil {
-		m.mu.Lock()
-		h.Observe(d.Seconds())
-		m.mu.Unlock()
-	}
-}
-
-// observeBatch records one finished batch request. Per-item counts come
-// off the response so they are only claimed for batches whose response
-// was actually delivered.
-func (m *Metrics) observeBatch(d time.Duration, resp *BatchPlanResponse, err error) {
+// observe records one finished endpoint request of the given kind. A
+// batch's per-item counts come off its response, so they are only claimed
+// for batches whose response was actually delivered.
+func (m *Metrics) observe(kind uint8, d time.Duration, batch *BatchPlanResponse, err error) {
 	if err != nil {
 		m.observeFailure(err)
 		return
 	}
 	m.mu.Lock()
-	m.batches++
-	m.batchItems += uint64(resp.Size)
-	m.batchItemsCached += uint64(resp.Cached)
-	m.batchItemsComputed += uint64(resp.Computed)
-	m.batchItemsCoalesced += uint64(resp.Coalesced)
-	m.batchItemsDegraded += uint64(resp.Degraded)
-	m.batchItemErrors += uint64(resp.Errors)
-	m.batchLat.Observe(d.Seconds())
-	m.batchSize.Observe(float64(resp.Size))
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	m.requests[kind]++
+	m.lat[kind].Observe(d.Seconds())
+	if batch == nil {
+		return
+	}
+	m.batchItems += uint64(batch.Size)
+	m.batchItemsCached += uint64(batch.Cached)
+	m.batchItemsComputed += uint64(batch.Computed)
+	m.batchItemsCoalesced += uint64(batch.Coalesced)
+	m.batchItemsDegraded += uint64(batch.Degraded)
+	m.batchItemErrors += uint64(batch.Errors)
+	m.batchSize.Observe(float64(batch.Size))
 }
 
 // LatencySnapshot is one endpoint's latency quantiles in seconds. Sum is
@@ -237,10 +213,17 @@ func distSnapshot(h *stats.Histogram) DistSnapshot {
 // in-flight request's flight or an intra-batch duplicate),
 // batch_items_degraded (brownout fallback), or batch_item_errors — the
 // five always sum to batch_items within one document (they are updated
-// and snapshotted under one lock). Batch items also feed the shared
-// cache_hits/cache_misses/coalesced counters per item, so cache_hit_rate
-// stays ≤ 1 with batches in play. All counters are monotone over the
-// process lifetime.
+// and snapshotted under one lock).
+//
+// Cache accounting: cache_hits and cache_misses count response-LRU hits
+// and misses per /v1/plan or /v1/estimate request and per batch item,
+// recorded once admission has let the request through — a request
+// served no payload because it was rejected with 429 or priced over the
+// per-item budget records neither. coalesced counts the misses then served off shared
+// work without a computation (flight followers, store and raced-cache
+// hits, intra-batch duplicates), so cache_hit_rate = (cache_hits +
+// coalesced) / (cache_hits + cache_misses) stays ≤ 1. All counters are
+// monotone over the process lifetime.
 //
 // Resilience counters: degraded counts brownout fallback serves (one per
 // /v1/plan request or unique batch group), deadline_abandoned counts
@@ -363,9 +346,11 @@ type PayloadBytesSnapshot struct {
 // under their lock and read outside it.
 func (m *Metrics) snapshot(cache *planCache) MetricsSnapshot {
 	m.mu.Lock()
-	planLat := m.planLat.Clone()
-	estLat := m.estLat.Clone()
-	batchLat := m.batchLat.Clone()
+	var lat [numKinds]*stats.Histogram
+	for k := kindPlan; k < numKinds; k++ {
+		lat[k] = m.lat[k].Clone()
+	}
+	requests := m.requests
 	batchSize := m.batchSize.Clone()
 	var stageLat [trace.NumStages]*stats.Histogram
 	for i, h := range m.stageLat {
@@ -373,7 +358,6 @@ func (m *Metrics) snapshot(cache *planCache) MetricsSnapshot {
 			stageLat[i] = h.Clone()
 		}
 	}
-	batches := m.batches
 	batchItems := m.batchItems
 	batchCached := m.batchItemsCached
 	batchComputed := m.batchItemsComputed
@@ -398,9 +382,9 @@ func (m *Metrics) snapshot(cache *planCache) MetricsSnapshot {
 	}
 	return MetricsSnapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
-		Plans:         m.plans.Load(),
-		Estimates:     m.estimates.Load(),
-		Batches:       batches,
+		Plans:         requests[kindPlan],
+		Estimates:     requests[kindEstimate],
+		Batches:       requests[kindBatch],
 		Errors:        m.errors.Load(),
 		Canceled:      m.canceled.Load(),
 		Rejected:      m.rejected.Load(),
@@ -419,9 +403,9 @@ func (m *Metrics) snapshot(cache *planCache) MetricsSnapshot {
 		BatchShared:   batchShared,
 		BatchDegraded: batchDegraded,
 		BatchErrors:   batchErrors,
-		PlanLatency:   latencySnapshot(planLat),
-		EstLatency:    latencySnapshot(estLat),
-		BatchLatency:  latencySnapshot(batchLat),
+		PlanLatency:   latencySnapshot(lat[kindPlan]),
+		EstLatency:    latencySnapshot(lat[kindEstimate]),
+		BatchLatency:  latencySnapshot(lat[kindBatch]),
 		BatchSizes:    distSnapshot(batchSize),
 
 		PayloadBytes: PayloadBytesSnapshot{

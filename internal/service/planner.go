@@ -214,14 +214,18 @@ func (c Config) withDefaults() Config {
 // Planner is the concurrent scheduling service core: it admits requests
 // up to a queue bound, coalesces duplicates in flight, serves repeats
 // from the response cache, and computes misses on a bounded worker pool
-// of pooled LP workspaces. Cross-request reuse lives in three places, all
-// keyed by content fingerprint: the response cache and the flight group
-// share finished and in-flight responses, and one planner-lifetime
-// rounding.Cache shares LP1 roundings across every estimate computation
-// (see lp1 below). None of them holds a decoded instance, so a finished
-// computation retains no instance; only the decode cache, keyed by raw
-// request bytes, does. The response, decode and LP1 caches are each an
-// lru.Cache, bounded by entry count, raw bytes and charged bytes.
+// of pooled LP workspaces. Every endpoint takes one serve path: serve
+// brackets the request, and serveGroups runs its groups of work through
+// the cache, admission, brownout and resolve — a /v1/plan or /v1/estimate
+// request as a batch of one group, a batch as one group per unique key.
+// Cross-request reuse lives in three places, all keyed by content
+// fingerprint: the response cache and the flight group share finished
+// and in-flight responses, and one planner-lifetime rounding.Cache shares
+// LP1 roundings across every estimate computation (see lp1 below). None
+// of them holds a decoded instance, so a finished computation retains no
+// instance; only the decode cache, keyed by raw request bytes, does. The
+// response, decode and LP1 caches are each an lru.Cache, bounded by entry
+// count, raw bytes and charged bytes.
 type Planner struct {
 	cfg     Config
 	metrics *Metrics
@@ -503,26 +507,6 @@ func (p *Planner) admit(cost, keep int) (degrade bool, err error) {
 
 func (p *Planner) release() { <-p.slots }
 
-// pressure is the admission line's fill fraction. It counts only work
-// waiting for the planner's pool — cache hits bypass it entirely, so
-// brownout sheds exactly the load that LP compute is drowning under.
-func (p *Planner) pressure() float64 {
-	return float64(p.queued.Load()) / float64(p.cfg.QueueDepth)
-}
-
-// degradeAllowed reports whether the configured brownout policy lets a
-// plan request of this class be served the LP-free fallback.
-func (p *Planner) degradeAllowed(class dag.Class) bool {
-	switch p.cfg.DegradedPolicy {
-	case DegradeAll:
-		return true
-	case DegradeIndependent:
-		return class == dag.ClassIndependent
-	default:
-		return false
-	}
-}
-
 // observeUnitCost folds one computation's wall time into the EWMA that
 // prices Retry-After hints. units is the computation's admission cost
 // (itemCost).
@@ -728,17 +712,178 @@ func (p *Planner) resolve(ctx context.Context, key requestKey, cost int, onProgr
 	}
 }
 
-// servedOf labels a resolved single request. Followers and shared hits
-// count in the coalesced bucket: each already recorded a cache miss, so
-// the reported hit rate stays ≤ 1.
-func (p *Planner) servedOf(cf *cachedFrame, follower, shared bool, err error) (served, error) {
+// serve runs one endpoint request — a plan, an estimate or a batch —
+// inside the planner's lifecycle: begin/end hold its drain unit, and its
+// outcome and latency land in one Metrics.observe call. run returns the
+// response of a batch, whose per-item counts are recorded only when it is
+// delivered, and nil for a single.
+func (p *Planner) serve(kind uint8, run func() (*BatchPlanResponse, error)) error {
+	if err := p.begin(); err != nil {
+		return err
+	}
+	defer p.end()
+	start := time.Now()
+	batch, err := run()
+	p.metrics.observe(kind, time.Since(start), batch, err)
+	return err
+}
+
+// group is one unique requestKey's worth of serving work: a /v1/plan or
+// /v1/estimate request, or the n items of a batch that share a key. The
+// caller fills in the request half, serveGroups the outcome. There is no
+// compute closure: one built before the cache peek would allocate on every
+// hit, so resolveGroup builds it from the key on a miss.
+type group struct {
+	key        requestKey
+	ins        *model.Instance
+	class      dag.Class // a plan's precedence class
+	n          int       // requests sharing the key: 1, or the batch items
+	cost       int       // admission units of a computation (see itemCost)
+	degradable bool      // may take the brownout fallback; estimates never do
+	onProgress func(Progress)
+
+	cf     *cachedFrame
+	err    error
+	source string // sourceCached, sourceComputed, sourceCoalesced or sourceDegraded
+	shared bool   // served off a raced cache entry or a store hit, not a flight
+}
+
+// serveGroups is the one serve pipeline: /v1/plan and /v1/estimate run it
+// with one group, /v1/plan/batch with one per unique key. It peeks the
+// response cache, prices the misses, tags the brownout groups, charges the
+// rest in one admission, mints the fallbacks, records hits and misses and
+// resolves the misses under ctx. The peek is uncounted and the accounting
+// waits for admission: a request admission rejects gets no response, so
+// it may claim no hit or miss. The error is the request's; units is the
+// charge admission took or, on a rejection, the non-degradable charge it
+// refused. What fails one group — its budget, its computation, ctx — is
+// that group's err.
+func (p *Planner) serveGroups(ctx context.Context, gs []group, tc *trace.Ctx) (units int, err error) {
+	// Pressure counts only work waiting for the pool — cache hits bypass
+	// it — so brownout sheds exactly the load LP compute is drowning under.
+	degradeNow := float64(p.queued.Load())/float64(p.cfg.QueueDepth) >= p.cfg.BrownoutThreshold
+	total, kept := 0, 0
+	for i := range gs {
+		g := &gs[i]
+		v, hit := p.cache.peek(g.key)
+		switch {
+		case hit:
+			g.cf, g.source = v.(*cachedFrame), sourceCached
+		case g.cost > p.cfg.MaxItemCost:
+			g.err = badRequestf("item cost %d units (n=%d, m=%d) over the per-item budget %d", g.cost, g.ins.N, g.ins.M, p.cfg.MaxItemCost)
+		case g.degradable && degradeNow:
+			g.source = sourceDegraded // minted once admission settles
+		default:
+			g.source = sourceComputed // pending until resolved
+			total += g.cost
+			if !g.degradable {
+				kept += g.cost
+			}
+		}
+	}
+	// If the line filled since the pressure check, the degradable groups
+	// take the fallback and only the rest is charged.
+	degrade, err := p.admit(total, kept)
 	if err != nil {
+		return kept, err
+	}
+	if degrade {
+		total = kept
+	}
+	// Misses land before any coalesced count can (resolveGroup), keeping
+	// coalesced ≤ misses — and the hit rate ≤ 1 — in every /metrics read.
+	first := -1
+	var hits, misses uint64
+	for i := range gs {
+		g := &gs[i]
+		if degrade && g.degradable && g.source == sourceComputed {
+			g.source = sourceDegraded
+		}
+		switch {
+		case g.source == sourceCached:
+			hits += uint64(g.n)
+			continue
+		case g.source == sourceDegraded:
+			g.cf, g.err = p.degradedServe(g, tc)
+		case g.err == nil && first < 0:
+			first = i
+		}
+		if g.err == nil {
+			misses += uint64(g.n)
+		}
+	}
+	p.cache.hits.Add(hits)
+	p.cache.misses.Add(misses)
+	if first >= 0 {
+		p.resolvePending(ctx, gs[first:], tc)
+	}
+	return total, nil
+}
+
+// resolvePending resolves the groups left to compute, gs[0] first and on
+// the caller's goroutine, so a single spawns nothing. The rest fan out
+// across the worker pool, each goroutine on a copy written back after the
+// wait: one holding &gs[i] would move every caller's groups to the heap.
+func (p *Planner) resolvePending(ctx context.Context, gs []group, tc *trace.Ctx) {
+	var wg sync.WaitGroup
+	rest := gs[1:]
+	fanned := make([]group, len(rest)) // empty, so no allocation, for a single
+	for i := range rest {
+		if rest[i].source == sourceComputed && rest[i].err == nil {
+			wg.Add(1)
+			go func(g group, out *group) {
+				defer wg.Done()
+				*out = p.resolveGroup(ctx, g, tc)
+			}(rest[i], &fanned[i])
+		}
+	}
+	gs[0] = p.resolveGroup(ctx, gs[0], tc)
+	wg.Wait()
+	for i := range fanned {
+		if fanned[i].n > 0 {
+			rest[i] = fanned[i]
+		}
+	}
+}
+
+// resolveGroup resolves one group and returns it with its outcome. The
+// requests it served off shared work count as coalesced: each recorded a
+// miss but computed nothing.
+func (p *Planner) resolveGroup(ctx context.Context, g group, tc *trace.Ctx) group {
+	key, ins, class := g.key, g.ins, g.class
+	cf, follower, shared, err := p.resolve(ctx, key, g.cost, g.onProgress, tc, func(abandoned <-chan struct{}, emit func(Progress)) (any, error) {
+		if key.kind == kindEstimate {
+			return p.computeEstimate(ins, key.fp, key.policy, p.policies[key.policy](), key.trials, key.seed, abandoned, emit, tc)
+		}
+		return p.computePlan(ins, key.fp, key.target, class, abandoned, tc)
+	})
+	g.cf, g.err, g.shared = cf, err, shared
+	if err != nil {
+		return g
+	}
+	coalesced := g.n - 1 // intra-batch duplicates of the computed item
+	if follower || shared {
+		g.source, coalesced = sourceCoalesced, g.n
+	}
+	if coalesced > 0 {
+		p.metrics.coalesced.Add(uint64(coalesced))
+	}
+	return g
+}
+
+// serveOne serves a single request as a batch of one under its deadline.
+// A flight follower reports coalesced, a raced cache entry or a store hit
+// cached.
+func (p *Planner) serveOne(ctx context.Context, deadlineMS int64, g group, tc *trace.Ctx) (served, error) {
+	ctx, cancel := withDeadlineMS(ctx, deadlineMS)
+	defer cancel()
+	tc.SetFingerprint(g.key.fp.Hi, g.key.fp.Lo)
+	gs := []group{g}
+	if _, err := p.serveGroups(ctx, gs, tc); err != nil {
 		return served{}, err
 	}
-	if follower || shared {
-		p.metrics.coalesced.Add(1)
-	}
-	return served{cf: cf, cached: shared, coalesced: follower}, nil
+	g = gs[0]
+	return served{cf: g.cf, cached: g.source == sourceCached || g.shared, coalesced: g.source == sourceCoalesced && !g.shared}, g.err
 }
 
 // PlanRun is one run of a planned schedule on the wire.
@@ -797,31 +942,33 @@ func (p *Planner) Plan(ctx context.Context, req *PlanRequest) (*PlanResponse, er
 // materializing a flag-bearing struct copy. The HTTP layer splices the
 // frame straight into the response. tc, if non-nil, is the request's
 // trace context; the planner records stage spans onto it.
-func (p *Planner) planServe(ctx context.Context, req *PlanRequest, tc *trace.Ctx) (served, error) {
-	if err := p.begin(); err != nil {
-		return served{}, err
-	}
-	defer p.end()
-	start := time.Now()
-	sv, err := p.plan(ctx, req, tc)
-	p.metrics.observe(kindPlan, time.Since(start), err)
+func (p *Planner) planServe(ctx context.Context, req *PlanRequest, tc *trace.Ctx) (sv served, err error) {
+	err = p.serve(kindPlan, func() (*BatchPlanResponse, error) {
+		g, err := p.planGroup(req)
+		if err != nil {
+			return nil, err
+		}
+		sv, err = p.serveOne(ctx, req.DeadlineMS, g, tc)
+		return nil, err
+	})
 	return sv, err
 }
 
-// validatePlan resolves req into its effective parameters: the instance,
-// the normalized target (defaulted to the Lemma 1/2 choice, zeroed for
-// chains where LP2 has no target knob), and the precedence class. Both the
-// single and the batch endpoints go through it, so an item in a batch is
-// accepted or rejected by exactly the rules /v1/plan applies.
-func (p *Planner) validatePlan(req *PlanRequest) (ins *model.Instance, target float64, class dag.Class, err error) {
+// planGroup validates req and resolves it into the group it is served
+// as: the normalized target (defaulted to the Lemma 1/2 choice, zeroed for
+// chains where LP2 has no target knob) in its key, its precedence class,
+// its admission cost and its brownout eligibility. Both the single and the
+// batch endpoints go through it, so an item in a batch is accepted or
+// rejected by exactly the rules /v1/plan applies.
+func (p *Planner) planGroup(req *PlanRequest) (group, error) {
 	if req == nil || req.Instance == nil {
-		return nil, 0, 0, badRequestf("missing instance")
+		return group{}, badRequestf("missing instance")
 	}
 	if err := validDeadlineMS(req.DeadlineMS); err != nil {
-		return nil, 0, 0, err
+		return group{}, err
 	}
-	ins = req.Instance
-	target = req.Target
+	ins := req.Instance
+	target := req.Target
 	if target == 0 {
 		target = 0.5
 	}
@@ -829,11 +976,11 @@ func (p *Planner) validatePlan(req *PlanRequest) (ins *model.Instance, target fl
 		// NaN must be rejected explicitly: as a map key it never equals
 		// itself, so it would leak singleflight entries and plant
 		// unfindable cache entries.
-		return nil, 0, 0, badRequestf("target %g outside (0, %g]", target, model.LogFailCap)
+		return group{}, badRequestf("target %g outside (0, %g]", target, model.LogFailCap)
 	}
-	class = ins.Class()
+	class := ins.Class()
 	if class != dag.ClassIndependent && class != dag.ClassChains {
-		return nil, 0, 0, badRequestf("planning supports independent and chain instances; got class %v (use /v1/estimate with policy forest or layered)", class)
+		return group{}, badRequestf("planning supports independent and chain instances; got class %v (use /v1/estimate with policy forest or layered)", class)
 	}
 	if class == dag.ClassChains {
 		// LP2 has no target knob: normalize before keying, so the same
@@ -841,62 +988,14 @@ func (p *Planner) validatePlan(req *PlanRequest) (ins *model.Instance, target fl
 		// and one flight instead of recomputing an identical schedule.
 		target = 0
 	}
-	return ins, target, class, nil
-}
-
-func (p *Planner) plan(ctx context.Context, req *PlanRequest, tc *trace.Ctx) (served, error) {
-	ins, target, class, err := p.validatePlan(req)
-	if err != nil {
-		return served{}, err
-	}
-	ctx, cancel := withDeadlineMS(ctx, req.DeadlineMS)
-	defer cancel()
-	fp := sched.FingerprintInstance(ins)
-	tc.SetFingerprint(fp.Hi, fp.Lo)
-	key := requestKey{fp: fp, kind: kindPlan, target: target}
-	if v, ok := p.cache.get(key); ok {
-		return served{cf: v.(*cachedFrame), cached: true}, nil
-	}
-	// A miss resolves as a batch of one: the same per-item budget, cost
-	// charge and brownout split a batch item gets. Past the pressure
-	// threshold an eligible request skips the line (and the flight table —
-	// degraded answers are never shared or cached) and gets the cheap
-	// fallback immediately.
-	cost, err := p.planCost(ins)
-	if err != nil {
-		return served{}, err
-	}
-	eligible := p.degradeAllowed(class)
-	degrade := eligible && p.pressure() >= p.cfg.BrownoutThreshold
-	if !degrade {
-		keep := cost
-		if eligible {
-			keep = 0
-		}
-		if degrade, err = p.admit(cost, keep); err != nil {
-			return served{}, err
-		}
-	}
-	if degrade {
-		return p.degradedServe(ins, fp, target, class, tc)
-	}
-	return p.servedOf(p.resolve(ctx, key, cost, nil, tc, func(abandoned <-chan struct{}, _ func(Progress)) (any, error) {
-		return p.computePlan(ins, fp, target, class, abandoned, tc)
-	}))
-}
-
-// degradedServe wraps the brownout fallback in a one-off frame. Degraded
-// plans are never cached or shared, so their encode is a per-request cold
-// encode — metered, like every other cold encode.
-func (p *Planner) degradedServe(ins *model.Instance, fp sched.Fingerprint, target float64, class dag.Class, tc *trace.Ctx) (served, error) {
-	dstart := time.Now()
-	resp := p.degradedPlan(ins, fp, target, class)
-	p.obsStage(tc, trace.StageDegrade, dstart)
-	cf, err := p.encodeFrame(resp, tc)
-	if err != nil {
-		return served{}, err
-	}
-	return served{cf: cf}, nil
+	return group{
+		key:        requestKey{fp: sched.FingerprintInstance(ins), kind: kindPlan, target: target},
+		ins:        ins,
+		class:      class,
+		n:          1,
+		cost:       itemCost(ins),
+		degradable: p.cfg.DegradedPolicy == DegradeAll || p.cfg.DegradedPolicy == DegradeIndependent && class == dag.ClassIndependent,
+	}, nil
 }
 
 // computePlan runs the rounding on a pooled workspace. The checkpoint
@@ -1060,8 +1159,8 @@ var maxClassRank = map[string]int{
 	"eligible-split": 3,
 }
 
-// resolvePolicy picks the policy factory for a request.
-func (p *Planner) resolvePolicy(name string, class dag.Class) (string, func() sim.Policy, error) {
+// resolvePolicy picks the policy for a request.
+func (p *Planner) resolvePolicy(name string, class dag.Class) (string, error) {
 	if name == "" || name == "auto" {
 		switch classRank(class) {
 		case 0:
@@ -1074,14 +1173,13 @@ func (p *Planner) resolvePolicy(name string, class dag.Class) (string, func() si
 			name = "layered"
 		}
 	}
-	newPol, ok := p.policies[name]
-	if !ok {
-		return "", nil, badRequestf("unknown policy %q", name)
+	if _, ok := p.policies[name]; !ok {
+		return "", badRequestf("unknown policy %q", name)
 	}
 	if classRank(class) > maxClassRank[name] {
-		return "", nil, badRequestf("policy %q does not support precedence class %v", name, class)
+		return "", badRequestf("policy %q does not support precedence class %v", name, class)
 	}
-	return name, newPol, nil
+	return name, nil
 }
 
 // Estimate computes (or serves from cache) the Monte Carlo estimate for
@@ -1096,72 +1194,54 @@ func (p *Planner) Estimate(ctx context.Context, req *EstimateRequest, onProgress
 }
 
 // estimateServe is Estimate for the zero-copy path; see planServe.
-func (p *Planner) estimateServe(ctx context.Context, req *EstimateRequest, onProgress func(Progress), tc *trace.Ctx) (served, error) {
-	if err := p.begin(); err != nil {
-		return served{}, err
-	}
-	defer p.end()
-	start := time.Now()
-	sv, err := p.estimate(ctx, req, onProgress, tc)
-	p.metrics.observe(kindEstimate, time.Since(start), err)
+func (p *Planner) estimateServe(ctx context.Context, req *EstimateRequest, onProgress func(Progress), tc *trace.Ctx) (sv served, err error) {
+	err = p.serve(kindEstimate, func() (*BatchPlanResponse, error) {
+		trials, name, err := p.estimateParams(req)
+		if err != nil {
+			return nil, err
+		}
+		// Estimates never degrade: a degraded sample would be silently wrong.
+		sv, err = p.serveOne(ctx, req.DeadlineMS, group{
+			key:        requestKey{fp: sched.FingerprintInstance(req.Instance), kind: kindEstimate, policy: name, trials: trials, seed: req.Seed},
+			ins:        req.Instance,
+			n:          1,
+			cost:       1,
+			onProgress: onProgress,
+		}, tc)
+		return nil, err
+	})
 	return sv, err
 }
 
 // estimateParams validates req and resolves it into its effective
 // parameters. ValidateEstimate exposes exactly these checks so the HTTP
 // layer can reject a bad stream request before committing a 200.
-func (p *Planner) estimateParams(req *EstimateRequest) (trials int, name string, newPol func() sim.Policy, err error) {
+func (p *Planner) estimateParams(req *EstimateRequest) (trials int, name string, err error) {
 	if req == nil || req.Instance == nil {
-		return 0, "", nil, badRequestf("missing instance")
+		return 0, "", badRequestf("missing instance")
 	}
 	if err := validDeadlineMS(req.DeadlineMS); err != nil {
-		return 0, "", nil, err
+		return 0, "", err
 	}
 	trials = req.Trials
 	if trials == 0 {
 		trials = p.cfg.DefaultTrials
 	}
 	if trials < 0 {
-		return 0, "", nil, badRequestf("trials %d must be positive", trials)
+		return 0, "", badRequestf("trials %d must be positive", trials)
 	}
 	if trials > p.cfg.MaxTrials {
-		return 0, "", nil, badRequestf("trials %d over the per-request budget %d", trials, p.cfg.MaxTrials)
+		return 0, "", badRequestf("trials %d over the per-request budget %d", trials, p.cfg.MaxTrials)
 	}
-	name, newPol, err = p.resolvePolicy(req.Policy, req.Instance.Class())
-	if err != nil {
-		return 0, "", nil, err
-	}
-	return trials, name, newPol, nil
+	name, err = p.resolvePolicy(req.Policy, req.Instance.Class())
+	return trials, name, err
 }
 
 // ValidateEstimate reports whether req would pass Estimate's validation,
 // without computing anything.
 func (p *Planner) ValidateEstimate(req *EstimateRequest) error {
-	_, _, _, err := p.estimateParams(req)
+	_, _, err := p.estimateParams(req)
 	return err
-}
-
-func (p *Planner) estimate(ctx context.Context, req *EstimateRequest, onProgress func(Progress), tc *trace.Ctx) (served, error) {
-	trials, name, newPol, err := p.estimateParams(req)
-	if err != nil {
-		return served{}, err
-	}
-	ctx, cancel := withDeadlineMS(ctx, req.DeadlineMS)
-	defer cancel()
-	ins := req.Instance
-	fp := sched.FingerprintInstance(ins)
-	tc.SetFingerprint(fp.Hi, fp.Lo)
-	key := requestKey{fp: fp, kind: kindEstimate, policy: name, trials: trials, seed: req.Seed}
-	if v, ok := p.cache.get(key); ok {
-		return served{cf: v.(*cachedFrame), cached: true}, nil
-	}
-	// Estimates never degrade: a degraded sample would be silently wrong.
-	if _, err := p.admit(1, 1); err != nil {
-		return served{}, err
-	}
-	return p.servedOf(p.resolve(ctx, key, 1, onProgress, tc, func(abandoned <-chan struct{}, emit func(Progress)) (any, error) {
-		return p.computeEstimate(ins, fp, name, newPol(), trials, req.Seed, abandoned, emit, tc)
-	}))
 }
 
 // computeEstimate runs the Monte Carlo in ProgressChunk batches. Batch b

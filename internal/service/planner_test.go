@@ -544,7 +544,7 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("abandonment did not refund the queue charge: queued=%d", q)
 	}
 	key := requestKey{fp: sched.FingerprintInstance(reqB.Instance), kind: kindPlan, target: 0.5}
-	if _, ok := p2.cache.get(key); ok {
+	if _, ok := p2.cache.peek(key); ok {
 		t.Fatal("abandoned computation landed in the cache")
 	}
 	p2.flight.mu.Lock()

@@ -102,8 +102,8 @@ func promMetrics(sn MetricsSnapshot) []byte {
 	pw.counter("suu_degraded_total", "Brownout fallback plans served.", sn.Degraded)
 	pw.counter("suu_deadline_abandoned_total", "Computations abandoned at their deadline.", sn.Abandoned)
 	pw.counter("suu_retries_observed_total", "Requests confessing to being retries.", sn.RetriesSeen)
-	pw.counter("suu_cache_hits_total", "Response LRU hits.", sn.CacheHits)
-	pw.counter("suu_cache_misses_total", "Response LRU misses.", sn.CacheMisses)
+	pw.counter("suu_cache_hits_total", "Response LRU hits of admitted requests and batch items.", sn.CacheHits)
+	pw.counter("suu_cache_misses_total", "Response LRU misses of admitted requests and batch items.", sn.CacheMisses)
 	pw.gauge("suu_cache_hit_rate", "Cache plus coalesced hit fraction.", sn.CacheHitRate)
 	pw.gauge("suu_cache_entries", "Response LRU resident entries.", float64(sn.CacheEntries))
 	pw.counter("suu_batch_items_total", "Batch items across all batches.", sn.BatchItems)

@@ -354,6 +354,17 @@ func BenchmarkServePlanHit(b *testing.B) {
 	})
 }
 
+// BenchmarkServeEstimateHit is BenchmarkServePlanHit for /v1/estimate: a
+// warm estimate serves its cached frame with the serving flags spliced.
+func BenchmarkServeEstimateHit(b *testing.B) {
+	req := &EstimateRequest{Instance: testInstanceB(b, "uniform", 4, 16, 3).Instance, Policy: "sem", Trials: 64, Seed: 5}
+	benchServe(b, "/v1/estimate", req, func(p *Planner) {
+		if _, err := p.Estimate(context.Background(), req, nil); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
 // BenchmarkServeBatchHit guards the streaming batch envelope: 16 warm
 // items served per request, every payload spliced from its cached frame.
 func BenchmarkServeBatchHit(b *testing.B) {
